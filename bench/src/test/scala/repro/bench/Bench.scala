@@ -5,42 +5,22 @@ import org.apache.spark.sql.SparkSession
 import repro.harness.{Experiments, QueryRun, Workbench}
 import repro.workload.JobLite
 
-/** Shared bench fixture: one Workbench at bench scale plus the headline
-  * per-query runs (pg / perfect / re-optimized, all simulated), computed once
-  * per JVM and reused by every table bench.
-  *
-  * Scale is REPRO_BENCH_SF (default 0.3: ~140k rows of cast_info). Table
-  * benches print rows in a stable `|`-separated format, with the paper's
-  * numbers alongside, for transcription into EXPERIMENTS.md.
+/** Shared bench fixture: one Workbench at bench scale plus the per-query runs
+  * of every simulated configuration, computed once per JVM and reused by every
+  * bench. Scale is REPRO_BENCH_SF (default 0.1: 47,385 rows in all). The
+  * benches print their tables through [[repro.harness.Report]], with the
+  * paper's numbers alongside, for transcription into EXPERIMENTS.md.
   */
 object Bench {
-  val SF: Double        = sys.env.getOrElse("REPRO_BENCH_SF", "0.1").toDouble
-  val Threshold: Double = sys.env.getOrElse("REPRO_REOPT_TAU", "32").toDouble
   val RealTop20: Boolean = sys.env.getOrElse("REPRO_REAL", "1") == "1"
-  /** Scale for *real* Spark executions (Fig 1): mis-planned queries produce
-    * intermediates hundreds of times larger than their result, so the real
-    * runs use a smaller database than the simulated tables.
-    */
-  val RealSF: Double    = sys.env.getOrElse("REPRO_REAL_SF", "0.07").toDouble
 
-  def wb(spark: SparkSession): Workbench = Workbench(spark, SF)
+  def wb(spark: SparkSession): Workbench = Workbench(spark, Experiments.SF)
 
-  @volatile private var cached: Vector[QueryRun] = null
+  private var cached: Vector[QueryRun] = null
 
-  /** The 113 headline runs (computed once). */
+  /** The 113 per-query runs (computed once). */
   def results(spark: SparkSession): Vector[QueryRun] = synchronized {
-    if (cached == null) {
-      val t0 = System.nanoTime()
-      cached = Experiments.runAll(wb(spark), JobLite.all, Threshold, verbose = true)
-      Console.err.println(f"[bench] headline runs took ${(System.nanoTime() - t0) / 1e9}%.1f s")
-    }
+    if (cached == null) cached = Experiments.runAll(wb(spark), JobLite.all)
     cached
-  }
-
-  def table(title: String, header: Seq[String], rows: Seq[Seq[Any]]): Unit = {
-    println(s"\n=== $title ===")
-    println(header.mkString(" | "))
-    rows.foreach(r => println(r.mkString(" | ")))
-    println(s"=== end $title ===\n")
   }
 }

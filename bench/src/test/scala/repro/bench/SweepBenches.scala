@@ -1,8 +1,7 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.harness.Experiments
-import repro.workload.JobLite
+import repro.harness.{Experiments, Report, Totals, Workbench}
 
 /** Fig 2 analogue: total workload execution under perfect-(n). The paper's
   * finding: n ≤ 3 gives virtually no benefit; the step change arrives at
@@ -10,12 +9,9 @@ import repro.workload.JobLite
   */
 class PerfectNSweepBench extends SparkSpec {
   test("Fig 2: perfect-(n) sweep") {
-    val wb = Bench.wb(spark)
-    val ns = Vector(0, 1, 2, 3, 4, 5, 6, 8, 10, 17)
-    val totals = Experiments.perfectNSweep(wb, JobLite.all, ns, verbose = true)
-    Bench.table("FIG 2 (total exec ms under perfect-(n))",
-      Seq("n", "total exec (sim ms)", "vs perfect-(0)"),
-      ns.map(n => Seq(n, f"${totals(n)}%.0f", f"${totals(n) / totals(0)}%.2f")))
+    val res    = Bench.results(spark)
+    val totals = Report.perfectNTotals(res)
+    Report.fig2(res).print()
     assert(totals(17) < totals(0), "perfect estimates must beat default")
     // n <= 3 gives little benefit (paper: none up to 3). Note: partially
     // corrected estimates can even *hurt* (paper §IV-E / Fig 5) — our sweep
@@ -34,16 +30,11 @@ class PerfectNSweepBench extends SparkSpec {
   */
 class ThresholdSweepBench extends SparkSpec {
   test("Fig 7: threshold sweep") {
-    val wb   = Bench.wb(spark)
-    val taus = Vector(2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 512.0)
-    val sweep = Experiments.thresholdSweep(wb, JobLite.all, taus)
-    val res = Bench.results(spark)
-    val pg  = res.map(_.pgMs).sum
-    val perfect = res.map(_.perfectMs).sum
-    Bench.table("FIG 7 (total exec/plan ms by re-optimization threshold)",
-      Seq("tau", "exec ms", "plan ms"),
-      taus.map(t => Seq(t.toInt, f"${sweep(t)._1}%.0f", f"${sweep(t)._2}%.0f"))
-        ++ Seq(Seq("pg (no reopt)", f"$pg%.0f", "-"), Seq("perfect-(17)", f"$perfect%.0f", "-")))
+    val res   = Bench.results(spark)
+    val taus  = Experiments.Taus
+    val sweep = Report.tauTotals(res)
+    val Totals(pg, _, _) = Report.totals(res)
+    Report.fig7(res).print()
     // every threshold beats not re-optimizing at all
     for (t <- taus) assert(sweep(t)._1 <= pg * 1.05, s"tau=$t worse than pg")
     // a low threshold is not catastrophic (paper: τ=2 within ~10% of best exec)
@@ -57,14 +48,10 @@ class ThresholdSweepBench extends SparkSpec {
   */
 class ReoptPerfectNBench extends SparkSpec {
   test("Fig 8: perfect-(n) with and without re-optimization") {
-    val wb = Bench.wb(spark)
-    val ns = Vector(0, 1, 2, 3, 4, 5, 6)
-    val plain = Experiments.perfectNSweep(wb, JobLite.all, ns)
-    val reopt = Experiments.perfectNSweep(wb, JobLite.all, ns, withReopt = true,
-                                          threshold = Bench.Threshold)
-    Bench.table("FIG 8 (perfect-(n) alone vs + re-optimization)",
-      Seq("n", "perfect-(n) ms", "+reopt ms", "reopt/plain"),
-      ns.map(n => Seq(n, f"${plain(n)}%.0f", f"${reopt(n)}%.0f", f"${reopt(n) / plain(n)}%.2f")))
+    val res   = Bench.results(spark)
+    val plain = Report.perfectNTotals(res)
+    val reopt = Report.reoptNTotals(res)
+    Report.fig8(res).print()
     // re-optimization helps markedly when estimates are bad
     assert(reopt(0) < plain(0))
     // and is at worst a mild regression when estimates are already good
@@ -80,21 +67,9 @@ class ReoptPerfectNBench extends SparkSpec {
 class Top20Bench extends SparkSpec {
   test("Fig 1: top-20 longest queries, real Spark execution") {
     assume(Bench.RealTop20, "disabled via REPRO_REAL=0")
-    val wb  = repro.harness.Workbench(spark, Bench.RealSF) // see Bench.RealSF
-    val res = Bench.results(spark)
-    val top = res.sortBy(-_.pgMs).take(20).map(_.name)
-    var pgT = 0.0; var reT = 0.0; var pfT = 0.0
-    val rows = top.map { name =>
-      val (pg, pf, re, steps) = Experiments.realRun(wb, JobLite.byName(name), Bench.Threshold)
-      pgT += pg; pfT += pf; reT += re
-      Console.err.println(f"[top20] $name pg=$pg%8.0f ms perfect=$pf%8.0f ms reopt=$re%8.0f ms steps=$steps")
-      Seq(name, f"$pg%.0f", f"$pf%.0f", f"$re%.0f", steps)
-    }
-    Bench.table("FIG 1 (top-20 longest queries, real Spark wall-clock ms)",
-      Seq("query", "pg plan", "perfect plan", "re-optimized", "reopt steps"),
-      rows :+ Seq("TOTAL", f"$pgT%.0f", f"$pfT%.0f", f"$reT%.0f", "-"))
-    println(f"[headline] top-20 real: pg=$pgT%.0f ms perfect=$pfT%.0f ms reopt=$reT%.0f ms " +
-      f"improvement=${100 * (pgT - reT) / pgT}%.1f%% (paper: 27%% end-to-end / 35%% exec)")
+    val runs = Experiments.top20(Bench.results(spark), Workbench(spark, Experiments.RealSF))
+    val Totals(pgT, pfT, reT) = Report.realTotals(runs)
+    Report.fig1(runs).print()
     // soft shape assertions — wall-clock at lite scale is noisy
     assert(reT < pgT * 1.15, f"re-optimization should not lose on the top-20 (re=$reT%.0f pg=$pgT%.0f)")
     assert(pfT < pgT * 1.15, "perfect plans should not lose on the top-20")

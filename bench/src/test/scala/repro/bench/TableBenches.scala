@@ -1,7 +1,7 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.harness.Experiments
+import repro.harness.{Report, Totals}
 import repro.workload.JobLite
 
 /** Paper Table I — number of cardinality estimates on joins of N tables,
@@ -10,20 +10,10 @@ import repro.workload.JobLite
   * accounting as the paper's instrumented PostgreSQL.
   */
 class TableIBench extends SparkSpec {
-
-  private val paper = Map(
-    1 -> 977, 2 -> 1346, 3 -> 2676, 4 -> 4493, 5 -> 6510, 6 -> 8387,
-    7 -> 9781, 8 -> 10326, 9 -> 9732, 10 -> 8019, 11 -> 5665, 12 -> 3357,
-    13 -> 1630, 14 -> 624, 15 -> 177, 16 -> 33, 17 -> 3)
-
   test("Table I: estimates per join size") {
-    val res = Bench.results(spark)
-    val ours = res.map(_.estBySize).foldLeft(Map.empty[Int, Int]) { (acc, m) =>
-      m.foldLeft(acc) { case (a, (k, v)) => a.updated(k, a.getOrElse(k, 0) + v) }
-    }
-    Bench.table("TABLE I (estimates on joins of N tables)",
-      Seq("#tables", "paper", "ours"),
-      (1 to 17).map(n => Seq(n, paper.getOrElse(n, 0), ours.getOrElse(n, 0))))
+    val res  = Bench.results(spark)
+    val ours = Report.estimatesBySize(res)
+    Report.tableI(res).print()
 
     // N=1 is fixed by Table III: one estimate per base relation occurrence
     assert(ours(1) == 977)
@@ -39,16 +29,10 @@ class TableIBench extends SparkSpec {
   * -style) cardinalities relative to perfect-(17), bucketed per query.
   */
 class TableIIBench extends SparkSpec {
-
-  private val paper = Map("0.1 - 0.8" -> 7, "0.8 - 1.2" -> 32, "1.2 - 2.0" -> 28,
-    "2.0 - 5.0" -> 32, "> 5.0" -> 14)
-
   test("Table II: stats-CE plans vs perfect plans, bucketed") {
     val res  = Bench.results(spark)
-    val ours = Experiments.bucketCounts(res.map(_.pgRel))
-    Bench.table("TABLE II (pg-CE runtime relative to perfect-(17))",
-      Seq("relative runtime", "paper #queries", "ours #queries"),
-      Experiments.bucketLabels.map(l => Seq(l, paper(l), ours(l))))
+    val ours = Report.bucketCounts(res.map(_.pgRel))
+    Report.tableII(res).print()
 
     assert(ours.values.sum == 113)
     // the paper's shape: most queries within 2x, a real tail beyond 2x
@@ -56,8 +40,7 @@ class TableIIBench extends SparkSpec {
       s"too few near-optimal queries: $ours")
     assert(ours("2.0 - 5.0") + ours("> 5.0") >= 10, s"no mis-planned tail: $ours")
     // and the tail is what makes the workload slow (paper: 20 queries -> 2x)
-    val total   = res.map(_.pgMs).sum
-    val perfect = res.map(_.perfectMs).sum
+    val Totals(total, perfect, _) = Report.totals(res)
     assert(total > 1.2 * perfect, f"workload slowdown ${total / perfect}%.2f")
   }
 }
@@ -67,10 +50,7 @@ class TableIIBench extends SparkSpec {
   */
 class TableIIIBench extends SparkSpec {
   test("Table III: queries per number of tables") {
-    Bench.table("TABLE III (queries with a given number of tables)",
-      Seq("#tables", "paper", "ours"),
-      JobLite.paperTableIII.toSeq.sorted.map { case (n, c) =>
-        Seq(n, c, JobLite.sizeHistogram.getOrElse(n, 0)) })
+    Report.tableIII.print()
     assert(JobLite.sizeHistogram == JobLite.paperTableIII)
     assert(JobLite.all.size == 113)
   }
@@ -81,17 +61,11 @@ class TableIIIBench extends SparkSpec {
   * into the near-optimal buckets and shrinks the > 5x tail vs Table II.
   */
 class TableVIBench extends SparkSpec {
-
-  private val paperVI = Map("0.1 - 0.8" -> 6, "0.8 - 1.2" -> 47, "1.2 - 2.0" -> 21,
-    "2.0 - 5.0" -> 29, "> 5.0" -> 10)
-
   test("Table VI: re-optimized runtime vs perfect, bucketed") {
     val res  = Bench.results(spark)
-    val ours = Experiments.bucketCounts(res.map(_.reoptRel))
-    val tblII = Experiments.bucketCounts(res.map(_.pgRel))
-    Bench.table("TABLE VI (re-optimized runtime relative to perfect-(17))",
-      Seq("relative runtime", "paper #queries", "ours #queries"),
-      Experiments.bucketLabels.map(l => Seq(l, paperVI(l), ours(l))))
+    val ours = Report.bucketCounts(res.map(_.reoptRel))
+    val tblII = Report.bucketCounts(res.map(_.pgRel))
+    Report.tableVI(res).print()
 
     assert(ours.values.sum == 113)
     // more near-optimal queries than without re-optimization…
@@ -100,12 +74,8 @@ class TableVIBench extends SparkSpec {
     // …and a no-bigger worst tail
     assert(ours("> 5.0") <= tblII("> 5.0"), s"reopt worsened the tail: $ours vs $tblII")
     // headline: re-optimization recovers a large share of the perfect benefit
-    val pg = res.map(_.pgMs).sum; val re = res.map(_.reoptMs).sum
-    val perfect = res.map(_.perfectMs).sum
+    val Totals(pg, _, re) = Report.totals(res)
     assert(re < pg, f"re-optimization must beat pg overall (re=$re%.0f pg=$pg%.0f)")
-    println(f"[headline] workload exec: pg=$pg%.0f ms, reopt=$re%.0f ms, " +
-      f"perfect=$perfect%.0f ms; reopt improvement=${100 * (pg - re) / pg}%.1f%% " +
-      f"(paper: 45%%), share of perfect benefit=${(pg - re) / math.max(pg - perfect, 1e-9)}%.2f")
   }
 }
 
@@ -118,21 +88,8 @@ class TableVIBench extends SparkSpec {
 class SkewDemoBench extends SparkSpec {
   test("Tables IV/V analogue: uniformity assumption vs skewed join") {
     val wb = Bench.wb(spark)
-    val q  = JobLite.byName("q06a")
-    val g  = wb.graph(q)
-    val t  = wb.truth(q)
-    val est = new repro.core.ce.StatsEstimator(wb.catalog)
-    val kIdx  = g.rels.indexWhere(_.alias == "k")
-    val mkIdx = g.rels.indexWhere(_.alias == "mk")
-    val mask  = (1L << kIdx) | (1L << mkIdx)
-    val e = est.cardinality(g, mask); val tr = t.card(mask).toDouble
-    Bench.table("TABLE IV/V demo (skewed join under uniformity)",
-      Seq("quantity", "value"),
-      Seq(
-        Seq("estimated |σ(keyword) ⋈ movie_keyword|", f"$e%.0f"),
-        Seq("true      |σ(keyword) ⋈ movie_keyword|", f"$tr%.0f"),
-        Seq("q-error", f"${repro.core.ce.QError(tr, e)}%.1f"),
-      ))
+    val (e, tr) = Report.skewJoin(wb)
+    Report.tableIVV(wb).print()
     assert(tr > 2 * e, "skewed join must be underestimated")
   }
 }

@@ -2,114 +2,37 @@ package repro.jobs
 
 import org.apache.spark.sql.SparkSession
 
-import repro.harness.{Experiments, Workbench}
+import repro.harness.{Experiments, Report, Workbench}
 import repro.workload.JobLite
 
-/** spark-submit entrypoints, one per evaluation table / headline figure.
+/** spark-submit entrypoint for the paper's tables and figures:
   *
-  *   spark-submit --class repro.jobs.TableIJob repro.jar [sf]
+  *   spark-submit --class repro.jobs.Main repro.jar <table> [sf]
   *
-  * Each prints the same `|`-separated table as the corresponding bench suite
-  * (see bench/src/test/scala/repro/bench); sf defaults to 0.1.
+  * `<table>` is one of I, II, III, IV/V, VI, fig1, fig2, fig7, fig8. It prints
+  * the same table as the corresponding bench suite (bench/src/test/scala/repro/bench);
+  * sf defaults to REPRO_BENCH_SF, else 0.1.
   */
-object JobMain {
-  def session(): SparkSession = {
-    val s = SparkSession.builder
+object Main {
+  def main(args: Array[String]): Unit = {
+    val spark = SparkSession.builder
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName("repro-jobs")
-      .config("spark.sql.autoBroadcastJoinThreshold", -1)
       .getOrCreate()
-    Workbench.configure(s)
-    s
-  }
-
-  def sf(args: Array[String]): Double =
-    args.headOption.map(_.toDouble).getOrElse(0.1)
-
-  def table(title: String, header: Seq[String], rows: Seq[Seq[Any]]): Unit = {
-    println(s"\n=== $title ===")
-    println(header.mkString(" | "))
-    rows.foreach(r => println(r.mkString(" | ")))
-    println(s"=== end $title ===\n")
-  }
-}
-
-/** Paper Table I: cardinality estimates per join size over the workload. */
-object TableIJob {
-  def main(args: Array[String]): Unit = {
-    val wb  = Workbench(JobMain.session(), JobMain.sf(args))
-    val res = Experiments.runAll(wb, JobLite.all, verbose = true)
-    val ours = res.map(_.estBySize).foldLeft(Map.empty[Int, Int]) { (acc, m) =>
-      m.foldLeft(acc) { case (a, (k, v)) => a.updated(k, a.getOrElse(k, 0) + v) }
+    lazy val wb = Workbench(spark, args.lift(1).fold(Experiments.SF)(_.toDouble))
+    lazy val res = Experiments.runAll(wb, JobLite.all)
+    val table = args.headOption.getOrElse("") match {
+      case "I"    => Report.tableI(res)
+      case "II"   => Report.tableII(res)
+      case "III"  => Report.tableIII
+      case "IV/V" => Report.tableIVV(wb)
+      case "VI"   => Report.tableVI(res)
+      case "fig1" => Report.fig1(Experiments.top20(res, Workbench(spark, Experiments.RealSF)))
+      case "fig2" => Report.fig2(res)
+      case "fig7" => Report.fig7(res)
+      case "fig8" => Report.fig8(res)
+      case other  => sys.error(s"unknown table '$other': expected I, II, III, IV/V, VI, fig1, fig2, fig7 or fig8")
     }
-    JobMain.table("TABLE I", Seq("#tables", "#estimates"),
-      (1 to 17).map(n => Seq(n, ours.getOrElse(n, 0))))
-  }
-}
-
-/** Paper Tables II and VI: relative-runtime buckets without/with re-opt. */
-object TableIIandVIJob {
-  def main(args: Array[String]): Unit = {
-    val wb  = Workbench(JobMain.session(), JobMain.sf(args))
-    val res = Experiments.runAll(wb, JobLite.all, verbose = true)
-    val ii  = Experiments.bucketCounts(res.map(_.pgRel))
-    val vi  = Experiments.bucketCounts(res.map(_.reoptRel))
-    JobMain.table("TABLE II (pg vs perfect)", Seq("bucket", "#queries"),
-      Experiments.bucketLabels.map(l => Seq(l, ii(l))))
-    JobMain.table("TABLE VI (reopt vs perfect)", Seq("bucket", "#queries"),
-      Experiments.bucketLabels.map(l => Seq(l, vi(l))))
-  }
-}
-
-/** Paper Table III: queries per table count (workload property). */
-object TableIIIJob {
-  def main(args: Array[String]): Unit = {
-    JobMain.table("TABLE III", Seq("#tables", "#queries"),
-      JobLite.sizeHistogram.toSeq.sorted.map { case (n, c) => Seq(n, c) })
-  }
-}
-
-/** Fig 2 / Fig 8: perfect-(n) sweeps, with and without re-optimization. */
-object PerfectNJob {
-  def main(args: Array[String]): Unit = {
-    val wb = Workbench(JobMain.session(), JobMain.sf(args))
-    val ns = Vector(0, 1, 2, 3, 4, 5, 6, 8, 10, 17)
-    val plain = Experiments.perfectNSweep(wb, JobLite.all, ns, verbose = true)
-    val reopt = Experiments.perfectNSweep(wb, JobLite.all, ns.take(7), withReopt = true)
-    JobMain.table("FIG 2/8 (perfect-(n))", Seq("n", "exec ms", "+reopt ms"),
-      ns.map(n => Seq(n, f"${plain(n)}%.0f",
-        reopt.get(n).map(v => f"$v%.0f").getOrElse("-"))))
-  }
-}
-
-/** Fig 7: re-optimization threshold sweep. */
-object ThresholdJob {
-  def main(args: Array[String]): Unit = {
-    val wb   = Workbench(JobMain.session(), JobMain.sf(args))
-    val taus = Vector(2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 512.0)
-    val sw   = Experiments.thresholdSweep(wb, JobLite.all, taus)
-    JobMain.table("FIG 7 (threshold sweep)", Seq("tau", "exec ms", "plan ms"),
-      taus.map(t => Seq(t.toInt, f"${sw(t)._1}%.0f", f"${sw(t)._2}%.0f")))
-  }
-}
-
-/** Fig 1: top-20 longest queries, real Spark execution (args: [simSf realSf]). */
-object Top20Job {
-  def main(args: Array[String]): Unit = {
-    val spark  = JobMain.session()
-    val realSf = args.lift(1).map(_.toDouble).getOrElse(0.07)
-    val wbSim  = Workbench(spark, JobMain.sf(args))
-    val wb     = Workbench(spark, realSf)
-    val res = Experiments.runAll(wbSim, JobLite.all, verbose = true)
-    val top = res.sortBy(-_.pgMs).take(20).map(_.name)
-    var pgT = 0.0; var reT = 0.0; var pfT = 0.0
-    val rows = top.map { name =>
-      val (pg, pf, re, steps) = Experiments.realRun(wb, JobLite.byName(name))
-      pgT += pg; pfT += pf; reT += re
-      Seq(name, f"$pg%.0f", f"$pf%.0f", f"$re%.0f", steps)
-    }
-    JobMain.table("FIG 1 (top-20 real wall-clock ms)",
-      Seq("query", "pg", "perfect", "reopt", "steps"),
-      rows :+ Seq("TOTAL", f"$pgT%.0f", f"$pfT%.0f", f"$reT%.0f", "-"))
+    table.print()
   }
 }

@@ -6,13 +6,13 @@ import repro.core.opt.{DPPlanner, JoinGraph, Plan}
 import repro.core.reopt.{Reoptimizer, SimBackend, SparkBackend}
 import repro.core.stats.Catalog
 import repro.core.truth.TrueCardinality
-import repro.workload.QuerySpec
+import repro.workload.{JobLite, QuerySpec}
 
 /** Per-query experiment state shared by every configuration of that query:
   * the graph, a single true-cardinality oracle, and the executors.
   */
 final class QueryCtx(val wb: Workbench, val q: QuerySpec) {
-  val graph: JoinGraph        = wb.graph(q)
+  val graph: JoinGraph        = JoinGraph.fromSpec(q)
   val truth: TrueCardinality  = new TrueCardinality(graph, wb.local)
   val sim: SimExecutor        = new SimExecutor(wb.cost, wb.catalog)
   val planner: DPPlanner      = new DPPlanner(wb.cost, wb.catalog)
@@ -35,114 +35,103 @@ final class QueryCtx(val wb: Workbench, val q: QuerySpec) {
       .run(graph, truth, mkEst, new SimBackend(sim, truth), threshold)
 }
 
-/** One query's headline numbers under the three paper configurations
-  * (all simulated-execution milliseconds; planning separate).
+/** One query's simulated figures under every paper configuration, in
+  * simulated-execution milliseconds. Every paper table is a fold over these.
   */
 final case class QueryRun(
     name: String,
-    size: Int,
     estBySize: Map[Int, Int],
     pgMs: Double,
-    pgPlanMs: Double,
     perfectMs: Double,
-    perfectPlanMs: Double,
-    reoptMs: Double,
-    reoptPlanMs: Double,
-    reoptSteps: Int,
+    /** Fig 2: n -> perfect-(n) plan, for n in [[Experiments.PerfectNs]]. */
+    perfectNMs: Map[Int, Double],
+    /** Fig 8: n -> perfect-(n) re-optimized at τ, for n in [[Experiments.ReoptNs]]. */
+    reoptNMs: Map[Int, Double],
+    /** Fig 7: τ -> (execMs, planMs) of the re-optimized stats plan. */
+    tauMs: Map[Double, (Double, Double)],
 ) {
+  def reoptMs: Double  = tauMs(Experiments.Tau)._1
   def pgRel: Double    = pgMs / math.max(perfectMs, 1e-9)
   def reoptRel: Double = reoptMs / math.max(perfectMs, 1e-9)
 }
 
+/** One query's real Spark wall-clock milliseconds (Fig 1). */
+final case class RealRun(name: String, pgMs: Double, perfectMs: Double, reoptMs: Double, steps: Int)
+
 object Experiments {
 
-  /** The paper's bucket boundaries for Tables II and VI. */
-  val bucketLabels: Vector[String] = Vector("0.1 - 0.8", "0.8 - 1.2", "1.2 - 2.0", "2.0 - 5.0", "> 5.0")
+  /** Scale of the simulated experiments. */
+  val SF: Double     = sys.env.getOrElse("REPRO_BENCH_SF", "0.1").toDouble
+  /** Scale for *real* Spark executions (Fig 1): mis-planned queries produce
+    * intermediates hundreds of times larger than their result, so the real
+    * runs use a smaller database than the simulated tables.
+    */
+  val RealSF: Double = sys.env.getOrElse("REPRO_REAL_SF", "0.07").toDouble
+  /** The paper's re-optimization threshold. */
+  val Tau: Double    = 32.0
+  /** Fig 2's perfect-(n) levels; Fig 8 re-optimizes the first seven. */
+  val PerfectNs: Vector[Int]  = Vector(0, 1, 2, 3, 4, 5, 6, 8, 10, 17)
+  val ReoptNs: Vector[Int]    = PerfectNs.take(7)
+  /** Fig 7's re-optimization thresholds. */
+  val Taus: Vector[Double]    = Vector(2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 512.0)
 
-  def bucket(ratio: Double): String =
-    if (ratio < 0.8) "0.1 - 0.8"
-    else if (ratio < 1.2) "0.8 - 1.2"
-    else if (ratio < 2.0) "1.2 - 2.0"
-    else if (ratio <= 5.0) "2.0 - 5.0"
-    else "> 5.0"
-
-  def bucketCounts(ratios: Seq[Double]): Map[String, Int] =
-    bucketLabels.map(l => l -> ratios.count(r => bucket(r) == l)).toMap
-
-  /** Run the three headline configurations for one query. */
-  def runQuery(wb: Workbench, q: QuerySpec, threshold: Double = 32.0): QueryRun = {
-    val ctx = new QueryCtx(wb, q)
-    val statsRes = ctx.planner.plan(ctx.graph, ctx.statsEstimator())
-    val pgMs     = SimExecutor.toMillis(ctx.sim.executionWork(ctx.graph, ctx.truth, statsRes.plan))
-    val (perfMs, perfPlanMs, _) = ctx.simRun(ctx.perfect)
-    val re = ctx.simReopt(threshold, cat => ctx.statsEstimator(cat))
+  /** Run every simulated configuration of one query on one shared oracle. */
+  def runQuery(wb: Workbench, q: QuerySpec): QueryRun = {
+    val ctx   = new QueryCtx(wb, q)
+    val stats = ctx.planner.plan(ctx.graph, ctx.statsEstimator())
     QueryRun(
-      q.name, q.size, statsRes.estimatesBySize,
-      pgMs, statsRes.planningNanos / 1e6,
-      perfMs, perfPlanMs,
-      re.execMs, re.planMs, re.replans,
+      q.name, stats.estimatesBySize,
+      SimExecutor.toMillis(ctx.sim.executionWork(ctx.graph, ctx.truth, stats.plan)),
+      ctx.simRun(ctx.perfect)._1,
+      PerfectNs.map(n => n -> ctx.simRun(ctx.perfectN(n))._1).toMap,
+      ReoptNs.map(n => n -> ctx.simReopt(Tau, cat => ctx.perfectN(n, cat)).execMs).toMap,
+      Taus.map { t =>
+        val r = ctx.simReopt(t, cat => ctx.statsEstimator(cat))
+        t -> (r.execMs, r.planMs)
+      }.toMap,
     )
   }
 
-  def runAll(wb: Workbench, queries: Seq[QuerySpec], threshold: Double = 32.0,
-             verbose: Boolean = false): Vector[QueryRun] =
-    queries.iterator.map { q =>
-      val r = runQuery(wb, q, threshold)
-      if (verbose)
-        Console.err.println(f"[exp] ${r.name}%-6s pg=${r.pgMs}%10.1f perfect=${r.perfectMs}%10.1f reopt=${r.reoptMs}%10.1f steps=${r.reoptSteps}")
+  def runAll(wb: Workbench, queries: Seq[QuerySpec]): Vector[QueryRun] = {
+    val t0 = System.nanoTime()
+    val res = queries.iterator.map { q =>
+      val r = runQuery(wb, q)
+      Console.err.println(f"[exp] ${r.name}%-6s pg=${r.pgMs}%10.1f perfect=${r.perfectMs}%10.1f reopt=${r.reoptMs}%10.1f")
       r
     }.toVector
-
-  /** Total simulated execution time under perfect-(n), for the Fig 2 sweep,
-    * optionally with re-optimization on top (Fig 8). One oracle per query,
-    * shared across all n.
-    */
-  def perfectNSweep(wb: Workbench, queries: Seq[QuerySpec], ns: Seq[Int],
-                    withReopt: Boolean = false, threshold: Double = 32.0,
-                    verbose: Boolean = false): Map[Int, Double] = {
-    val totals = scala.collection.mutable.Map.empty[Int, Double].withDefaultValue(0.0)
-    for (q <- queries) {
-      val ctx = new QueryCtx(wb, q)
-      for (n <- ns) {
-        totals(n) +=
-          (if (withReopt) ctx.simReopt(threshold, cat => ctx.perfectN(n, cat)).execMs
-           else ctx.simRun(ctx.perfectN(n))._1)
-      }
-      if (verbose) Console.err.println(s"[sweep] ${q.name} done")
-    }
-    totals.toMap
+    Console.err.println(f"[exp] ${res.size} queries took ${(System.nanoTime() - t0) / 1e9}%.1f s")
+    res
   }
 
-  /** Total (execMs, planMs) at each re-optimization threshold (Fig 7). */
-  def thresholdSweep(wb: Workbench, queries: Seq[QuerySpec],
-                     taus: Seq[Double]): Map[Double, (Double, Double)] = {
-    val totals = scala.collection.mutable.Map.empty[Double, (Double, Double)]
-      .withDefaultValue((0.0, 0.0))
-    for (q <- queries) {
-      val ctx = new QueryCtx(wb, q)
-      for (tau <- taus) {
-        val r = ctx.simReopt(tau, cat => ctx.statsEstimator(cat))
-        val (e, p) = totals(tau)
-        totals(tau) = (e + r.execMs, p + r.planMs)
-      }
-    }
-    totals.toMap
-  }
-
-  /** Real Spark wall-clock for one query's three configurations:
-    * (pgMs, perfectMs, reoptExecMs, reoptSteps). Used by the top-20 bench.
+  /** Real Spark wall-clock for one query's three configurations. The pg
+    * plan, the perfect plan and the re-optimized run must return the same
+    * row count.
     */
-  def realRun(wb: Workbench, q: QuerySpec, threshold: Double = 32.0): (Double, Double, Double, Int) = {
+  def realRun(wb: Workbench, q: QuerySpec): RealRun = {
     val ctx  = new QueryCtx(wb, q)
     val exec = new SparkExecutor(wb.spark, wb.db)
     val pgPlan   = ctx.planner.plan(ctx.graph, ctx.statsEstimator()).plan
     val perfPlan = ctx.planner.plan(ctx.graph, ctx.perfect).plan
-    val pgMs     = exec.run(ctx.graph, pgPlan)._2
-    val perfMs   = exec.run(ctx.graph, perfPlan)._2
+    val (pgRows, pgMs)     = exec.run(ctx.graph, pgPlan)
+    val (perfRows, perfMs) = exec.run(ctx.graph, perfPlan)
     val backend  = new SparkBackend(wb.spark, wb.db, ctx.truth)
-    val re = new Reoptimizer(wb.cost, wb.catalog)
-      .run(ctx.graph, ctx.truth, cat => ctx.statsEstimator(cat), backend, threshold)
-    backend.cleanup()
-    (pgMs, perfMs, re.execMs, re.replans)
+    val re =
+      try new Reoptimizer(wb.cost, wb.catalog)
+        .run(ctx.graph, ctx.truth, cat => ctx.statsEstimator(cat), backend, Tau)
+      finally backend.cleanup()
+    require(pgRows == perfRows && perfRows == backend.lastCount,
+      s"${q.name}: row counts differ: pg=$pgRows perfect=$perfRows reopt=${backend.lastCount}")
+    RealRun(q.name, pgMs, perfMs, re.execMs, re.replans)
   }
+
+  /** Fig 1: the 20 queries with the slowest simulated pg plans, executed for
+    * real on `wbReal`.
+    */
+  def top20(res: Vector[QueryRun], wbReal: Workbench): Vector[RealRun] =
+    res.sortBy(-_.pgMs).take(20).map { r =>
+      val run = realRun(wbReal, JobLite.byName(r.name))
+      Console.err.println(f"[top20] ${run.name} pg=${run.pgMs}%8.0f ms perfect=${run.perfectMs}%8.0f ms " +
+        f"reopt=${run.reoptMs}%8.0f ms steps=${run.steps}")
+      run
+    }
 }

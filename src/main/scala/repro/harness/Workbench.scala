@@ -5,11 +5,9 @@ import scala.collection.mutable
 import org.apache.spark.sql.{DataFrame, SparkSession}
 
 import repro.core.data.LocalDB
-import repro.core.opt.{CostModel, JoinGraph}
+import repro.core.opt.CostModel
 import repro.core.stats.{Analyzer, Catalog}
-import repro.core.truth.TrueCardinality
 import repro.imdb.ImdbLite
-import repro.workload.QuerySpec
 
 /** Shared experiment context: one generated database + collected snapshot +
   * ANALYZE catalog per (sf, seed), cached for the lifetime of the JVM so unit
@@ -22,12 +20,7 @@ final case class Workbench(
     local: LocalDB,
     catalog: Catalog,
     cost: CostModel,
-) {
-  def graph(q: QuerySpec): JoinGraph = JoinGraph.fromSpec(q)
-
-  /** Fresh oracle for one query (per-query caches; let it go after use). */
-  def truth(q: QuerySpec): TrueCardinality = new TrueCardinality(graph(q), local)
-}
+)
 
 object Workbench {
   private val cache = mutable.Map.empty[(Double, Long), Workbench]

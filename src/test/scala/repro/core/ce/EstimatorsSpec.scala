@@ -1,6 +1,7 @@
 package repro.core.ce
 
 import repro.{SparkSpec, TestData}
+import repro.core.opt.JoinGraph
 import repro.core.truth.TrueCardinality
 import repro.workload.JobLite
 
@@ -21,7 +22,7 @@ class EstimatorsSpec extends SparkSpec {
 
   test("base-table estimates are near exact (paper: bases are fine)") {
     val q = JobLite.byName("q06a")
-    val g = wb.graph(q)
+    val g = JoinGraph.fromSpec(q)
     val t = new TrueCardinality(g, wb.local)
     val est = new StatsEstimator(wb.catalog)
     for (i <- 0 until g.nRels) {
@@ -33,7 +34,7 @@ class EstimatorsSpec extends SparkSpec {
 
   test("frequent-keyword join is underestimated (paper 6d / Nasdaq skew)") {
     val q = JobLite.byName("q06a") // k.keyword_group = 0 (popular keywords)
-    val g = wb.graph(q)
+    val g = JoinGraph.fromSpec(q)
     val t = new TrueCardinality(g, wb.local)
     val est = new StatsEstimator(wb.catalog)
     val kIdx  = g.rels.indexWhere(_.alias == "k")
@@ -46,7 +47,7 @@ class EstimatorsSpec extends SparkSpec {
 
   test("rating-correlated join is underestimated (paper 18a correlation)") {
     val q = JobLite.byName("q08a") // midx.rating_bucket high selects popular movies
-    val g = wb.graph(q)
+    val g = JoinGraph.fromSpec(q)
     val t = new TrueCardinality(g, wb.local)
     val est = new StatsEstimator(wb.catalog)
     val ci   = g.rels.indexWhere(_.alias == "ci")
@@ -59,7 +60,7 @@ class EstimatorsSpec extends SparkSpec {
 
   test("PerfectEstimator equals the oracle on every connected subset (q03a)") {
     val q = JobLite.byName("q03a")
-    val g = wb.graph(q)
+    val g = JoinGraph.fromSpec(q)
     val t = new TrueCardinality(g, wb.local)
     val p = new PerfectEstimator(t)
     for (m <- 1L until (1L << g.nRels) if g.connected(m))
@@ -68,7 +69,7 @@ class EstimatorsSpec extends SparkSpec {
 
   test("perfect-(n) is exact up to n and composes above (q06a)") {
     val q = JobLite.byName("q06a")
-    val g = wb.graph(q)
+    val g = JoinGraph.fromSpec(q)
     val t = new TrueCardinality(g, wb.local)
     val stats = new StatsEstimator(wb.catalog)
     val p2 = new PerfectNEstimator(2, t, stats)
@@ -82,7 +83,7 @@ class EstimatorsSpec extends SparkSpec {
 
   test("perfect-(n) full-join q-error shrinks (weakly) as n grows (q06a)") {
     val q = JobLite.byName("q06a")
-    val g = wb.graph(q)
+    val g = JoinGraph.fromSpec(q)
     val t = new TrueCardinality(g, wb.local)
     val stats = new StatsEstimator(wb.catalog)
     val tr = t.card(g.fullMask).toDouble
@@ -99,7 +100,7 @@ class EstimatorsSpec extends SparkSpec {
 
   test("perfect-(0) equals StatsEstimator everywhere (q02a)") {
     val q = JobLite.byName("q02a")
-    val g = wb.graph(q)
+    val g = JoinGraph.fromSpec(q)
     val stats = new StatsEstimator(wb.catalog)
     for (m <- 1L until (1L << g.nRels) if g.connected(m))
       assert(stats.cardinality(g, m) > 0)
@@ -107,7 +108,7 @@ class EstimatorsSpec extends SparkSpec {
 
   test("extendSelectivity is consistent with cardinality composition") {
     val q = JobLite.byName("q03a")
-    val g = wb.graph(q)
+    val g = JoinGraph.fromSpec(q)
     val stats = new StatsEstimator(wb.catalog)
     // est(S ∪ {r}) == est(S) * base(r) * extendSelectivity(S, r)
     val full = g.fullMask
@@ -125,7 +126,7 @@ class EstimatorsSpec extends SparkSpec {
   test("estimates are monotone under additional filters (fewer rows)") {
     val qa = JobLite.byName("q06a") // keyword_group = 0
     val qd = JobLite.byName("q06d") // rarer keyword + year filter
-    val ga = wb.graph(qa); val gd = wb.graph(qd)
+    val ga = JoinGraph.fromSpec(qa); val gd = JoinGraph.fromSpec(qd)
     val est = new StatsEstimator(wb.catalog)
     assert(est.cardinality(gd, gd.fullMask) < est.cardinality(ga, ga.fullMask))
   }

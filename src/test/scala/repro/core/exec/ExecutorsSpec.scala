@@ -19,7 +19,7 @@ class SparkExecutorSpec extends SparkSpec {
     test(s"$name: executed plan count equals Spark SQL count") {
       for ((n, df) <- wb.db) df.createOrReplaceTempView(n)
       val q = JobLite.byName(name)
-      val g = wb.graph(q)
+      val g = JoinGraph.fromSpec(q)
       val res  = new DPPlanner(wb.cost, wb.catalog).plan(g, new StatsEstimator(wb.catalog))
       val exec = new SparkExecutor(spark, wb.db)
       val (cnt, _) = exec.run(g, res.plan)
@@ -31,7 +31,7 @@ class SparkExecutorSpec extends SparkSpec {
   for (name <- Vector("q03a", "q06a")) {
     test(s"$name: perfect-plan execution gives the same count as the pg plan") {
       val q = JobLite.byName(name)
-      val g = wb.graph(q)
+      val g = JoinGraph.fromSpec(q)
       val t = new TrueCardinality(g, wb.local)
       val planner = new DPPlanner(wb.cost, wb.catalog)
       val exec    = new SparkExecutor(spark, wb.db)
@@ -44,7 +44,7 @@ class SparkExecutorSpec extends SparkSpec {
 
   test("q02a: executed DataFrame matches the DuckDB oracle row-for-row") {
     val q = JobLite.byName("q02a")
-    val g = wb.graph(q)
+    val g = JoinGraph.fromSpec(q)
     val res  = new DPPlanner(wb.cost, wb.catalog).plan(g, new StatsEstimator(wb.catalog))
     val exec = new SparkExecutor(spark, wb.db)
     val df   = exec.dataFrame(g, res.plan).agg(
@@ -55,7 +55,7 @@ class SparkExecutorSpec extends SparkSpec {
 
   test("materialize exposes one c<origId> column per interface class") {
     val q = JobLite.byName("q06a")
-    val g = wb.graph(q)
+    val g = JoinGraph.fromSpec(q)
     val res  = new DPPlanner(wb.cost, wb.catalog).plan(g, new StatsEstimator(wb.catalog))
     val exec = new SparkExecutor(spark, wb.db)
     val j    = res.plan.joinsBottomUp.head
@@ -84,7 +84,7 @@ class SimExecutorSpec extends SparkSpec {
   test("perfect plan never simulates slower than 1.5x the pg plan (sample)") {
     for (name <- Vector("q02a", "q03a", "q06a")) {
       val q = JobLite.byName(name)
-      val g = wb.graph(q)
+      val g = JoinGraph.fromSpec(q)
       val t = new TrueCardinality(g, wb.local)
       val planner = new DPPlanner(wb.cost, wb.catalog)
       val sim = new SimExecutor(wb.cost, wb.catalog)
@@ -96,7 +96,7 @@ class SimExecutorSpec extends SparkSpec {
 
   test("materialization costs more than plain execution") {
     val q = JobLite.byName("q06a")
-    val g = wb.graph(q)
+    val g = JoinGraph.fromSpec(q)
     val t = new TrueCardinality(g, wb.local)
     val res = new DPPlanner(wb.cost, wb.catalog).plan(g, new StatsEstimator(wb.catalog))
     val sim = new SimExecutor(wb.cost, wb.catalog)

@@ -146,7 +146,7 @@ class DPPlannerWorkloadSpec extends SparkSpec {
 
   for (q <- JobLite.all) {
     test(s"${q.name}: DP plan is complete, connected, cartesian-free") {
-      val g   = wb.graph(q)
+      val g   = JoinGraph.fromSpec(q)
       val res = new DPPlanner(wb.cost, wb.catalog)
         .plan(g, new repro.core.ce.StatsEstimator(wb.catalog))
       assert(res.plan.mask == g.fullMask)

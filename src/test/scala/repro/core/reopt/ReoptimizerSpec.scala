@@ -3,7 +3,7 @@ package repro.core.reopt
 import repro.{SparkSpec, TestData}
 import repro.core.ce.{PerfectEstimator, StatsEstimator}
 import repro.core.exec.SimExecutor
-import repro.core.opt.DPPlanner
+import repro.core.opt.{DPPlanner, JoinGraph}
 import repro.core.truth.TrueCardinality
 import repro.workload.JobLite
 
@@ -17,7 +17,7 @@ class ReoptimizerSpec extends SparkSpec {
 
   private def ctx(name: String) = {
     val q = JobLite.byName(name)
-    val g = wb.graph(q)
+    val g = JoinGraph.fromSpec(q)
     val t = new TrueCardinality(g, wb.local)
     (q, g, t)
   }

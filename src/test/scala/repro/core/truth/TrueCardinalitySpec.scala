@@ -126,7 +126,7 @@ class TrueCardinalitySparkSpec extends SparkSpec {
     test(s"$name: full-join true cardinality equals Spark SQL count") {
       for ((n, df) <- wb.db) df.createOrReplaceTempView(n)
       val q = JobLite.byName(name)
-      val g = wb.graph(q)
+      val g = JoinGraph.fromSpec(q)
       val t = new TrueCardinality(g, wb.local)
       val sparkCnt = spark.sql(q.countSql()).collect()(0).getLong(0)
       assert(t.card(g.fullMask) == sparkCnt, s"oracle=${t.card(g.fullMask)} spark=$sparkCnt")
@@ -136,7 +136,7 @@ class TrueCardinalitySparkSpec extends SparkSpec {
   test("q06a: every connected pair and triple matches a Spark sub-join count") {
     for ((n, df) <- wb.db) df.createOrReplaceTempView(n)
     val q = JobLite.byName("q06a")
-    val g = wb.graph(q)
+    val g = JoinGraph.fromSpec(q)
     val t = new TrueCardinality(g, wb.local)
     val masks = (1L until (1L << g.nRels))
       .filter(m => java.lang.Long.bitCount(m) <= 3 && g.connected(m))
