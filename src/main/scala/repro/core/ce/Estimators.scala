@@ -95,20 +95,30 @@ final class StatsEstimator(val catalog: Catalog) extends Estimator {
   * n = 0 degrades to [[StatsEstimator]]; n ≥ 1 uses exact base cardinalities.
   * Subset size is measured in original relations (`origMask` popcount), so
   * the construct keeps its meaning on re-optimized (contracted) graphs.
+  * An instance serves one graph (one DP run; the re-optimization loop makes
+  * one per step), so its memo and oracle scope are keyed by mask alone.
   */
 final class PerfectNEstimator(n: Int, truth: TrueCardinality, stats: StatsEstimator)
     extends Estimator {
 
-  private val memo = mutable.HashMap.empty[(String, Long), Double]
+  private val scope = truth.newScope()
+  /** Composed estimates by mask, of the one graph this instance is asked about. */
+  private val memo  = mutable.HashMap.empty[Long, Double]
+  private var graph: JoinGraph = _
 
   private def baseRows(g: JoinGraph, i: Int): Double =
-    if (n >= 1) truth.card(g.rels(i).origMask).toDouble
+    if (n >= 1) scope.card(g.rels(i).origMask).toDouble
     else stats.baseRows(g, i)
 
   override def cardinality(g: JoinGraph, mask: Long): Double = {
+    if (graph ne g) {
+      require(graph == null || graph == g,
+        s"perfect-($n) estimator of ${graph.name} asked about another graph ${g.name}")
+      graph = g
+    }
     val orig = g.origUnion(mask)
-    if (java.lang.Long.bitCount(orig) <= n) truth.card(orig).toDouble
-    else memo.getOrElseUpdate((s"${g.name}#${g.nRels}", mask), {
+    if (java.lang.Long.bitCount(orig) <= n) scope.card(orig).toDouble
+    else memo.getOrElseUpdate(mask, {
       if (java.lang.Long.bitCount(mask) == 1)
         baseRows(g, java.lang.Long.numberOfTrailingZeros(mask))
       else {
@@ -130,6 +140,7 @@ final class PerfectNEstimator(n: Int, truth: TrueCardinality, stats: StatsEstima
 
 /** Oracle estimator: always exact (the paper's perfect-(17)). */
 final class PerfectEstimator(truth: TrueCardinality) extends Estimator {
+  private val scope = truth.newScope()
   override def cardinality(g: JoinGraph, mask: Long): Double =
-    truth.card(g.origUnion(mask)).toDouble
+    scope.card(g.origUnion(mask)).toDouble
 }

@@ -117,6 +117,8 @@ final class Reoptimizer(cost: CostModel, baseCatalog: Catalog) {
     var planNs  = 0L
     val steps   = Vector.newBuilder[Step]
     var nSteps  = 0
+    // the trigger's true cardinalities, through one scope for the whole loop
+    val trueRows = truth.newScope()
 
     while (true) {
       val planner = new DPPlanner(cost, catalog)
@@ -127,7 +129,7 @@ final class Reoptimizer(cost: CostModel, baseCatalog: Catalog) {
       val offender =
         if (nSteps >= maxSteps) None
         else res.plan.joinsBottomUp.find { j =>
-          val t = truth.card(g.origUnion(j.mask)).toDouble
+          val t = trueRows.card(g.origUnion(j.mask)).toDouble
           QError(t, j.estRows) > threshold && j.mask != g.fullMask
         }
 
@@ -140,7 +142,7 @@ final class Reoptimizer(cost: CostModel, baseCatalog: Catalog) {
           val (ms, ts)   = backend.materialize(g, subPlan(res.plan, j.mask), tempName)
           execMs += ms
           catalog = catalog.withTable(tempName, ts)
-          steps += Step(g0.name, tempName, g.origUnion(j.mask), ts.rowCount, QError(truth.card(g.origUnion(j.mask)).toDouble, j.estRows))
+          steps += Step(g0.name, tempName, g.origUnion(j.mask), ts.rowCount, QError(trueRows.card(g.origUnion(j.mask)).toDouble, j.estRows))
           g = g.contract(j.mask, tempName)
           nSteps += 1
       }
@@ -165,11 +167,12 @@ object Reoptimizer {
     * temp table would return; the data was just computed, so this is free).
     */
   def tempStats(g: JoinGraph, truth: TrueCardinality, mask: Long): TableStats = {
-    val orig = g.origUnion(mask)
-    val rows = truth.card(orig)
+    val scope = truth.newScope()
+    val orig  = g.origUnion(mask)
+    val rows  = scope.card(orig)
     // Interface classes in *original graph* terms: use origIds valid on g.
     val cols = g.interfaceClasses(mask).map { case (c, _) =>
-      val ndv = truth.classNdv(orig, c.origId)
+      val ndv = scope.classNdv(orig, c.origId)
       s"c${c.origId}" -> ColumnStats(rows, math.max(1L, ndv), 0L, Long.MaxValue, Vector.empty, Vector.empty)
     }.toMap
     TableStats(rows, cols)

@@ -1,6 +1,5 @@
 package repro.core.truth
 
-import scala.collection.immutable.ArraySeq
 import scala.collection.mutable
 
 import repro.core.data.LocalDB
@@ -25,18 +24,30 @@ import repro.core.opt.JoinGraph
   * makes perfect-(17) over 113 queries feasible. The paper obtained the same
   * numbers by instrumenting executions offline.
   *
+  * Class sets are `Long` bitmasks over `graph.classes`, and every map is a
+  * [[TupleMap]] of primitive `Long` tuples. Absorbing relation r joins the
+  * prefix's map with r's filtered rows grouped by (join classes, classes r
+  * adds to the frontier). Those groupings recur across the thousands of
+  * subsets one DP enumerates, so they are built once per [[Scope]]: a scope
+  * lasts one planning or loop run (one estimator, one `SimExecutor` pricing,
+  * one `tempStats`, one loop's trigger lookups) and is dropped with it. The
+  * oracle itself keeps only the `card`/`classNdv` count memos: callers keep
+  * oracles alive for a whole query, and the groupings of a 17-relation query
+  * are far larger than its memo (held by the oracle, they took perfbench's
+  * live-heap peak from 63 to 119 MB on `perfect-oracle` and from 71 to
+  * 238 MB on `reopt`).
+  *
   * Instances are keyed to the *original* [[JoinGraph]] of a query; contracted
   * (re-optimized) graphs query it through original-relation masks.
   */
 final class TrueCardinality(val graph: JoinGraph, db: LocalDB) {
-
-  private type Key = ArraySeq[Long]
+  require(graph.classes.size <= 64, s"${graph.name}: at most 64 join classes")
 
   private val cardCache = mutable.HashMap.empty[Long, Long]
   private val ndvCache  = mutable.HashMap.empty[(Long, Int), Long]
 
   /** Filtered row indices per relation (the relation's local predicates). */
-  private val filtered: Vector[Array[Int]] = graph.rels.map { rel =>
+  private val filtered: Array[Array[Int]] = graph.rels.map { rel =>
     val t     = db(rel.table)
     val preds = rel.preds.map(p => (t.col(p.column), p))
     val buf   = new mutable.ArrayBuilder.ofInt
@@ -49,164 +60,329 @@ final class TrueCardinality(val graph: JoinGraph, db: LocalDB) {
       r += 1
     }
     buf.result()
+  }.toArray
+
+  /** Classes (bitmask over graph.classes) touching relation i. */
+  private val relClasses: Array[Long] = Array.tabulate(graph.nRels) { i =>
+    graph.classes.indices.foldLeft(0L)((m, ci) =>
+      if ((graph.classes(ci).relMask & (1L << i)) != 0) m | (1L << ci) else m)
   }
 
-  /** classes (by position in graph.classes) touching relation i. */
-  private val relClasses: Vector[Vector[Int]] =
-    Vector.tabulate(graph.nRels) { i =>
-      graph.classes.zipWithIndex.collect { case (c, ci) if (c.relMask & (1L << i)) != 0 => ci }
-    }
+  /** Column of class ci on relation i. */
+  private def classCol(ci: Int, i: Int): Array[Long] =
+    db(graph.rels(i).table).col(graph.classes(ci).members.find(_._1 == i).get._2)
 
-  /** column of class ci on relation i. */
-  private def classCol(ci: Int, i: Int): String =
-    graph.classes(ci).members.find(_._1 == i).get._2
+  /** Classes touching some relation of `mask`. */
+  private def touching(mask: Long): Long = {
+    var m = mask; var cs = 0L
+    while (m != 0) { cs |= relClasses(java.lang.Long.numberOfTrailingZeros(m)); m &= m - 1 }
+    cs
+  }
+
+  /** Classes with ≥ 2 members inside `mask`. */
+  private def internal(mask: Long): Long = {
+    var cs = 0L
+    for (ci <- graph.classes.indices)
+      if (java.lang.Long.bitCount(graph.classes(ci).relMask & mask) >= 2) cs |= 1L << ci
+    cs
+  }
+
+  /** Frontier classes of chain prefix `prefix` of `mask`: internal classes
+    * spanning the cut, plus `keepClass` once touched.
+    */
+  private[truth] def frontier(mask: Long, prefix: Long, keepClass: Int): Long = {
+    val cut  = internal(mask) & touching(prefix) & touching(mask & ~prefix)
+    val keep = if (keepClass >= 0) touching(prefix) & (1L << keepClass) else 0L
+    cut | keep
+  }
 
   /** Greedy elimination order for the relations of `mask`: start at the most
     * selective relation; repeatedly append the adjacent relation that leaves
-    * the fewest open frontier classes (ties: fewer filtered rows). Relations
-    * count as adjacent via classes with ≥ 2 members inside `mask`.
+    * the fewest open frontier classes (ties: fewer filtered rows, then lower
+    * index). Relations count as adjacent via classes with ≥ 2 members inside
+    * `mask`.
     */
-  private def chainOrder(mask: Long): Vector[Int] = {
-    val rels = (0 until graph.nRels).filter(i => (mask & (1L << i)) != 0).toVector
-    if (rels.size == 1) return rels
-    // classes internal to mask: >=2 members inside
-    val internal: Vector[Int] = graph.classes.indices.toVector.filter { ci =>
-      java.lang.Long.bitCount(graph.classes(ci).relMask & mask) >= 2
+  private[truth] def chainOrder(mask: Long): Array[Int] = {
+    val inner = internal(mask)
+    val order = new Array[Int](java.lang.Long.bitCount(mask))
+    var m = mask
+    var start = -1
+    while (m != 0) {
+      val i = java.lang.Long.numberOfTrailingZeros(m)
+      if (start < 0 || filtered(i).length < filtered(start).length) start = i
+      m &= m - 1
     }
-    val classMaskIn: Map[Int, Long] = internal.map(ci => ci -> (graph.classes(ci).relMask & mask)).toMap
-
-    def frontierSize(prefix: Long): Int =
-      internal.count { ci =>
-        val cm = classMaskIn(ci)
-        (cm & prefix) != 0 && (cm & mask & ~prefix) != 0
-      }
-
-    val start = rels.minBy(i => filtered(i).length)
-    val order = mutable.ArrayBuffer(start)
+    order(0) = start
     var prefix = 1L << start
-    while (order.size < rels.size) {
-      val cands = rels.filter { i =>
-        (prefix & (1L << i)) == 0 &&
-        relClasses(i).exists(ci => classMaskIn.contains(ci) && (classMaskIn(ci) & prefix) != 0)
+    var k = 1
+    while (k < order.length) {
+      val reach = inner & touching(prefix)
+      var next = -1; var nextOpen = 0; var nextRows = 0
+      var cands = mask & ~prefix
+      while (cands != 0) {
+        val i = java.lang.Long.numberOfTrailingZeros(cands)
+        if ((relClasses(i) & reach) != 0) {
+          val p    = prefix | (1L << i)
+          val open = java.lang.Long.bitCount(inner & touching(p) & touching(mask & ~p))
+          val rows = filtered(i).length
+          if (next < 0 || open < nextOpen || (open == nextOpen && rows < nextRows)) {
+            next = i; nextOpen = open; nextRows = rows
+          }
+        }
+        cands &= cands - 1
       }
-      require(cands.nonEmpty, s"mask $mask not connected at prefix $prefix")
-      val next = cands.minBy(i => (frontierSize(prefix | (1L << i)), filtered(i).length, i))
-      order += next
+      require(next >= 0, s"mask $mask not connected at prefix $prefix")
+      order(k) = next
       prefix |= 1L << next
+      k += 1
     }
-    order.toVector
+    order
+  }
+
+  /** Relation i's filtered rows grouped by the classes `join` (the group key)
+    * and `out` (the tuples within a group), both in ascending class order.
+    */
+  private def group(i: Int, join: Long, out: Long): Grouped = {
+    val jw    = java.lang.Long.bitCount(join)
+    val w     = jw + java.lang.Long.bitCount(out)
+    val cols  = (classList(join) ++ classList(out)).map(classCol(_, i))
+    val rows  = filtered(i)
+    val tuple = new Array[Long](w)
+    val both  = new TupleMap(w, rows.length)
+    for (r <- rows) {
+      var x = 0
+      while (x < w) { tuple(x) = cols(x)(r); x += 1 }
+      both.add(tuple, 0, 1L)
+    }
+    // counting sort of the distinct (join, out) tuples by join key
+    val index = new TupleMap(jw, both.size)
+    val gid   = Array.tabulate(both.size)(e => index.add(both.keys, e * w, 1L))
+    val start = new Array[Int](index.size + 1)
+    for (g <- 0 until index.size) start(g + 1) = start(g) + index.vals(g).toInt
+    val next    = start.clone()
+    val ow      = w - jw
+    val tuples  = new Array[Long](both.size * ow)
+    val counts  = new Array[Long](both.size)
+    for (e <- 0 until both.size) {
+      val t = next(gid(e)); next(gid(e)) += 1
+      System.arraycopy(both.keys, e * w + jw, tuples, t * ow, ow)
+      counts(t) = both.vals(e)
+    }
+    new Grouped(index, start, tuples, counts)
   }
 
   /** Eliminate `mask` along the greedy chain. If `keepClass >= 0` (a class
     * index into graph.classes), that class's value is retained in the
-    * frontier throughout; the result map is then keyed by it.
-    * Returns the final map (empty-key single entry when keepClass < 0).
+    * frontier throughout. Returns the row count of each final frontier tuple:
+    * one count (or none) when keepClass < 0, else one per kept value.
     */
-  private def eliminate(mask: Long, keepClass: Int): mutable.HashMap[Key, Long] = {
+  private def eliminate(mask: Long, keepClass: Int, scope: Scope): Array[Long] = {
     require(mask != 0, "empty mask")
     val order = chainOrder(mask)
-    val internal: Set[Int] = graph.classes.indices.filter { ci =>
-      java.lang.Long.bitCount(graph.classes(ci).relMask & mask) >= 2
-    }.toSet
+    var prefix = 1L << order(0)
+    var key    = frontier(mask, prefix, keepClass)
+    // the first relation's rows, grouped by nothing: one group (if any rows)
+    val first = scope.grouped(order(0), 0L, key)
+    var keys  = first.tuples
+    var vals  = first.counts
+    var n     = first.counts.length
 
-    /** frontier classes after absorbing `prefix`: internal classes spanning
-      * the cut, plus keepClass once touched.
-      */
-    def frontier(prefix: Long): Vector[Int] = {
-      val cut = graph.classes.indices.filter { ci =>
-        internal(ci) && (graph.classes(ci).relMask & prefix) != 0 &&
-        (graph.classes(ci).relMask & mask & ~prefix) != 0
-      }
-      val keep =
-        if (keepClass >= 0 && (graph.classes(keepClass).relMask & prefix) != 0) Vector(keepClass)
-        else Vector.empty
-      (cut ++ keep).distinct.sorted.toVector
-    }
-
-    var prefix  = 1L << order.head
-    var keyCls  = frontier(prefix)
-    var current = {
-      val i    = order.head
-      val t    = db(graph.rels(i).table)
-      val cols = keyCls.map(ci => t.col(classCol(ci, i)))
-      val m    = mutable.HashMap.empty[Key, Long]
-      for (r <- filtered(i)) {
-        val k = ArraySeq.unsafeWrapArray(Array.tabulate(cols.length)(x => cols(x)(r)))
-        m.updateWith(k)(c => Some(c.getOrElse(0L) + 1L))
-      }
-      m
-    }
-
-    for (i <- order.drop(1)) {
-      val newPrefix = prefix | (1L << i)
-      val newKeyCls = frontier(newPrefix)
-      val t = db(graph.rels(i).table)
-      // classes joining r to the prefix: internal, touched by both
-      val joinCls = relClasses(i).filter(ci =>
-        internal(ci) && (graph.classes(ci).relMask & prefix) != 0 && keyCls.contains(ci))
-      // sanity: all prefix-side join classes must be on the frontier
-      val joinPosInKey = joinCls.map(keyCls.indexOf)
-      require(joinPosInKey.forall(_ >= 0), s"join class missing from frontier for rel $i")
-      // output key composition: from current (classes already in keyCls) or from r
-      val outFromCur = newKeyCls.map(keyCls.indexOf)
-      val rCols      = newKeyCls.map { ci =>
-        if (relClasses(i).contains(ci)) t.col(classCol(ci, i)) else null
-      }
-      val joinColsR = joinCls.map(ci => t.col(classCol(ci, i)))
-      // group r's filtered rows by (join key, contributed output parts)
-      val rGroups = mutable.HashMap.empty[Key, mutable.HashMap[Key, Long]]
-      for (r <- filtered(i)) {
-        val jk = ArraySeq.unsafeWrapArray(Array.tabulate(joinColsR.length)(x => joinColsR(x)(r)))
-        val contrib = ArraySeq.unsafeWrapArray(
-          Array.tabulate(newKeyCls.length)(x =>
-            if (outFromCur(x) < 0 && rCols(x) != null) rCols(x)(r) else 0L))
-        rGroups.getOrElseUpdate(jk, mutable.HashMap.empty)
-          .updateWith(contrib)(c => Some(c.getOrElse(0L) + 1L))
-      }
-      val out = mutable.HashMap.empty[Key, Long]
-      for ((k, cnt) <- current) {
-        val jk = ArraySeq.unsafeWrapArray(Array.tabulate(joinPosInKey.length)(x => k(joinPosInKey(x))))
-        rGroups.get(jk) match {
-          case Some(groups) =>
-            for ((contrib, rcnt) <- groups) {
-              val outArr = new Array[Long](newKeyCls.length)
-              var x = 0
-              while (x < newKeyCls.length) {
-                outArr(x) = if (outFromCur(x) >= 0) k(outFromCur(x)) else contrib(x)
-                x += 1
-              }
-              out.updateWith(ArraySeq.unsafeWrapArray(outArr))(c =>
-                Some(c.getOrElse(0L) + cnt * rcnt))
+    var k = 1
+    while (k < order.length) {
+      val i      = order(k)
+      prefix    |= 1L << i
+      val newKey = frontier(mask, prefix, keepClass)
+      val join   = relClasses(i) & key   // every class joining i to the prefix is on the frontier
+      val added  = newKey & ~key          // classes first touched by i
+      val g      = scope.grouped(i, join, added)
+      val w      = java.lang.Long.bitCount(key)
+      val ow     = java.lang.Long.bitCount(added)
+      val jPos   = classList(join).map(position(key, _))
+      // each output position reads the prefix's tuple (>= 0) or i's (~pos)
+      val src    = classList(newKey).map(ci =>
+        if ((key & (1L << ci)) != 0) position(key, ci) else ~position(added, ci))
+      val jk     = new Array[Long](jPos.length)
+      val outKey = new Array[Long](src.length)
+      val out    = new TupleMap(src.length, if (src.isEmpty) 1 else n)
+      var e = 0
+      while (e < n) {
+        var x = 0
+        while (x < jPos.length) { jk(x) = keys(e * w + jPos(x)); x += 1 }
+        val gi = g.index.find(jk, 0)
+        if (gi >= 0) {
+          val cnt = vals(e)
+          var t = g.start(gi)
+          while (t < g.start(gi + 1)) {
+            x = 0
+            while (x < src.length) {
+              val s = src(x)
+              outKey(x) = if (s >= 0) keys(e * w + s) else g.tuples(t * ow + ~s)
+              x += 1
             }
-          case None =>
+            out.add(outKey, 0, cnt * g.counts(t))
+            t += 1
+          }
         }
+        e += 1
       }
-      current = out
-      prefix = newPrefix
-      keyCls = newKeyCls
+      keys = out.keys; vals = out.vals; n = out.size
+      key = newKey
+      k += 1
     }
-    current
+    java.util.Arrays.copyOf(vals, n)
   }
 
+  /** A fresh, empty scope for one planning or loop run. */
+  def newScope(): Scope = new Scope
+
   /** Exact |⋈ S| (with all base filters applied) for connected subset S. */
-  def card(mask: Long): Long = cardCache.getOrElseUpdate(mask, {
-    require(graph.connected(mask), s"not a connected subset: $mask")
-    eliminate(mask, keepClass = -1).valuesIterator.sum
-  })
+  def card(mask: Long): Long = newScope().card(mask)
 
   /** Exact number of distinct values of class `origId` (which must touch S)
     * in ⋈ S.
     */
-  def classNdv(mask: Long, origId: Int): Long = ndvCache.getOrElseUpdate((mask, origId), {
-    require(graph.connected(mask), s"not a connected subset: $mask")
-    val ci = graph.classes.indexWhere(_.origId == origId)
-    require(ci >= 0 && (graph.classes(ci).relMask & mask) != 0,
-      s"class $origId does not touch mask $mask")
-    val m = eliminate(mask, keepClass = ci)
-    // final key is exactly (keepClass); count distinct values with rows
-    m.count(_._2 > 0).toLong
-  })
+  def classNdv(mask: Long, origId: Int): Long = newScope().classNdv(mask, origId)
 
   /** Number of distinct subsets whose cardinality has been computed. */
   def memoSize: Int = cardCache.size
+
+  /** The oracle's queries within one planning or loop run, sharing the
+    * grouped relation rows they build. Counts are memoized in the oracle, so
+    * they outlive the scope; the groupings do not.
+    */
+  final class Scope private[TrueCardinality] () {
+    private val groups = mutable.HashMap.empty[(Int, Long, Long), Grouped]
+    private var held   = 0L
+
+    /** Grouped entries (distinct tuples over all groupings) this scope holds. */
+    def entries: Long = held
+
+    private[TrueCardinality] def grouped(i: Int, join: Long, out: Long): Grouped =
+      groups.getOrElseUpdate((i, join, out), {
+        val g = group(i, join, out)
+        held += g.counts.length
+        g
+      })
+
+    /** Exact |⋈ S| (with all base filters applied) for connected subset S. */
+    def card(mask: Long): Long = cardCache.getOrElseUpdate(mask, {
+      require(graph.connected(mask), s"not a connected subset: $mask")
+      eliminate(mask, keepClass = -1, this).sum
+    })
+
+    /** Exact number of distinct values of class `origId` (which must touch S)
+      * in ⋈ S.
+      */
+    def classNdv(mask: Long, origId: Int): Long = ndvCache.getOrElseUpdate((mask, origId), {
+      require(graph.connected(mask), s"not a connected subset: $mask")
+      val ci = graph.classes.indexWhere(_.origId == origId)
+      require(ci >= 0 && (graph.classes(ci).relMask & mask) != 0,
+        s"class $origId does not touch mask $mask")
+      // final key is exactly (keepClass); count distinct values with rows
+      eliminate(mask, keepClass = ci, this).count(_ > 0).toLong
+    })
+  }
+
+  /** Class indices of a class bitmask, ascending. */
+  private def classList(cs: Long): Array[Int] = {
+    val a = new Array[Int](java.lang.Long.bitCount(cs))
+    var m = cs; var x = 0
+    while (m != 0) { a(x) = java.lang.Long.numberOfTrailingZeros(m); m &= m - 1; x += 1 }
+    a
+  }
+
+  /** Position of class ci within the ascending tuple of class set `cs`. */
+  private def position(cs: Long, ci: Int): Int = java.lang.Long.bitCount(cs & ((1L << ci) - 1))
+}
+
+/** One relation's filtered rows grouped by a join key: group g (entry g of
+  * `index`, whose value is the group's size) holds the tuples
+  * `start(g) until start(g + 1)` of `tuples` (each `tuples.length /
+  * counts.length` wide) with their row counts.
+  */
+private[truth] final class Grouped(
+    val index: TupleMap,
+    val start: Array[Int],
+    val tuples: Array[Long],
+    val counts: Array[Long],
+)
+
+/** Insertion-ordered, open-addressing map from fixed-width `Long` tuples
+  * (width 0 … k) to `Long` sums. Entry e's key is
+  * `keys(e * width until (e + 1) * width)` and its value `vals(e)`; entries
+  * keep their insertion order. Linear probing on a power-of-two slot table
+  * kept at most half full.
+  */
+private[truth] final class TupleMap(val width: Int, expected: Int) {
+  private var slots: Array[Int] = new Array[Int](TupleMap.slotsFor(expected)) // entry + 1; 0 = empty
+  private var shift: Int        = 64 - Integer.numberOfTrailingZeros(slots.length)
+  var keys: Array[Long]         = new Array[Long](math.max(expected, 1) * width)
+  var vals: Array[Long]         = new Array[Long](math.max(expected, 1))
+  var size: Int                 = 0
+
+  private def slotOf(a: Array[Long], off: Int): Int = {
+    var h = 0L
+    var x = 0
+    while (x < width) { h = (h + a(off + x)) * 0x9E3779B97F4A7C15L; x += 1 }
+    // Fibonacci hashing: the product's top bits are its best mixed
+    (h >>> shift).toInt
+  }
+
+  private def sameKey(e: Int, a: Array[Long], off: Int): Boolean = {
+    var x = 0
+    while (x < width && keys(e * width + x) == a(off + x)) x += 1
+    x == width
+  }
+
+  /** Index of the entry keyed `a(off until off + width)`, or -1. */
+  def find(a: Array[Long], off: Int): Int = {
+    var s = slotOf(a, off)
+    while (true) {
+      val e = slots(s) - 1
+      if (e < 0) return -1
+      if (sameKey(e, a, off)) return e
+      s = (s + 1) & (slots.length - 1)
+    }
+    -1
+  }
+
+  /** Add `delta` to the entry keyed `a(off until off + width)`, appending it
+    * with value 0 first if absent; returns the entry's index.
+    */
+  def add(a: Array[Long], off: Int, delta: Long): Int = {
+    var s = slotOf(a, off)
+    while (true) {
+      val e = slots(s) - 1
+      if (e < 0) {
+        if (size == vals.length) {
+          vals = java.util.Arrays.copyOf(vals, size * 2)
+          keys = java.util.Arrays.copyOf(keys, size * 2 * width)
+        }
+        System.arraycopy(a, off, keys, size * width, width)
+        vals(size) = delta
+        slots(s) = size + 1
+        size += 1
+        if (2 * size > slots.length) rehash()
+        return size - 1
+      }
+      if (sameKey(e, a, off)) { vals(e) += delta; return e }
+      s = (s + 1) & (slots.length - 1)
+    }
+    -1
+  }
+
+  private def rehash(): Unit = {
+    slots = new Array[Int](slots.length * 2)
+    shift -= 1
+    for (e <- 0 until size) {
+      var s = slotOf(keys, e * width)
+      while (slots(s) != 0) s = (s + 1) & (slots.length - 1)
+      slots(s) = e + 1
+    }
+  }
+}
+
+private[truth] object TupleMap {
+  /** Power-of-two slot count that keeps `n` entries at most half full. */
+  def slotsFor(n: Int): Int = Integer.highestOneBit(math.max(2 * n, 1) * 2 - 1) max 2
 }

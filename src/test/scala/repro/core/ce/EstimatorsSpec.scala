@@ -81,6 +81,15 @@ class EstimatorsSpec extends SparkSpec {
     assert(p2.cardinality(g, full) > 0 && !p2.cardinality(g, full).isInfinite)
   }
 
+  test("a perfect-(n) estimator answers for one graph only") {
+    val g  = JoinGraph.fromSpec(JobLite.byName("q06a"))
+    val p2 = new PerfectNEstimator(2, new TrueCardinality(g, wb.local), new StatsEstimator(wb.catalog))
+    val full = p2.cardinality(g, g.fullMask)
+    // an equal graph is the same graph
+    assert(p2.cardinality(JoinGraph.fromSpec(JobLite.byName("q06a")), g.fullMask) == full)
+    intercept[IllegalArgumentException](p2.cardinality(JoinGraph.fromSpec(JobLite.byName("q07a")), 1L))
+  }
+
   test("perfect-(n) full-join q-error shrinks (weakly) as n grows (q06a)") {
     val q = JobLite.byName("q06a")
     val g = JoinGraph.fromSpec(q)

@@ -105,6 +105,57 @@ class TrueCardinalityToySpec extends AnyFunSuite {
     assert(t.card(1L) == 0 && t.card(3L) == 0 && t.card(7L) == 0)
   }
 
+  test("frontier widths 0, 1 and 2 all count exactly") {
+    // f keeps one row (k1=3, k2=1), so the chain starts there with both
+    // classes open; d2 alone, then d2 ⋈ f, runs single-class frontiers
+    val pf = Vector[repro.workload.Pred](EqPred("v", 4))
+    val t  = new TrueCardinality(graph(predsF = pf), db)
+    def widths(mask: Long, keep: Int): Set[Int] = {
+      val order = t.chainOrder(mask)
+      order.indices.map(k => java.lang.Long.bitCount(
+        t.frontier(mask, order.take(k + 1).foldLeft(0L)((p, i) => p | (1L << i)), keep))).toSet
+    }
+    assert(widths(7L, -1) == Set(2, 1, 0))
+    assert(widths(5L, -1) == Set(1, 0))
+    assert(widths(1L, -1) == Set(0))
+    assert(widths(7L, 0) == Set(2, 1))
+    for (m <- Seq(1L, 3L, 5L, 7L)) assert(t.card(m) == brute(pf, Vector.empty, m), s"mask $m")
+    assert(t.classNdv(7L, 0) == 1 && t.classNdv(7L, 1) == 1)
+  }
+
+  test("one scope reused across subsets equals fresh calls") {
+    val pf     = Vector[repro.workload.Pred](RangePred("k1", 1, 3))
+    val shared = new TrueCardinality(graph(predsF = pf), db).newScope()
+    val masks  = Seq(7L, 3L, 1L, 5L, 2L, 4L, 7L)
+    val fresh  = masks.map(m => new TrueCardinality(graph(predsF = pf), db).card(m))
+    assert(masks.map(shared.card) == fresh)
+    val touch0 = masks.filter(_ != 4L) // class 0 joins f and d1
+    assert(touch0.map(shared.classNdv(_, 0)) ==
+      touch0.map(m => new TrueCardinality(graph(predsF = pf), db).classNdv(m, 0)))
+    assert(shared.entries > 0)
+  }
+
+  test("TupleMap grows past its initial capacity and keeps insertion order") {
+    val m   = new TupleMap(2, 1)
+    val key = new Array[Long](2)
+    for (r <- 0 until 3; i <- 0 until 1000) {
+      key(0) = i.toLong; key(1) = -i.toLong * 7
+      assert(m.add(key, 0, i.toLong) == i)
+    }
+    assert(m.size == 1000)
+    for (i <- 0 until 1000) {
+      assert(m.keys(2 * i) == i && m.keys(2 * i + 1) == -i * 7L && m.vals(i) == 3L * i)
+      key(0) = i.toLong; key(1) = -i.toLong * 7
+      assert(m.find(key, 0) == i)
+    }
+    key(0) = 1000; assert(m.find(key, 0) == -1)
+    // width 0: one entry, the empty tuple
+    val empty = new TupleMap(0, 4)
+    assert(empty.find(key, 0) == -1)
+    empty.add(key, 0, 5); empty.add(key, 1, 6)
+    assert(empty.size == 1 && empty.vals(0) == 11)
+  }
+
   test("memo eviction does not change results") {
     val t = new TrueCardinality(graph(), db)
     val first = (1L to 7L).filter(m => m != 6 && m != 0).map(m => m -> t.card(m)).toMap
