@@ -2,7 +2,7 @@ package repro.core.ce
 
 import scala.collection.mutable
 
-import repro.core.opt.{GraphClass, JoinGraph}
+import repro.core.opt.JoinGraph
 import repro.core.stats.Catalog
 import repro.core.truth.TrueCardinality
 
@@ -34,40 +34,62 @@ object QError {
   *
   * This is deliberately the paper's "PostgreSQL CE": accurate on base tables,
   * increasingly wrong up the join tree under skew and correlation.
+  *
+  * An instance computes the per-graph terms (filtered base rows, capped
+  * ndvs) once for the graph it was last asked about.
   */
 final class StatsEstimator(val catalog: Catalog) extends Estimator {
 
-  def baseRows(g: JoinGraph, i: Int): Double = {
-    val rel = g.rels(i)
-    val ts  = catalog(rel.table)
-    rel.preds.foldLeft(ts.rowCount.toDouble)((r, p) => r * ts.column(p.column).selectivity(p))
-  }
+  /** What the formula needs of one graph, computed once: each relation's
+    * filtered row estimate and, per class, its members' relations and ndvs.
+    */
+  private final class GraphStats(g: JoinGraph) {
+    val base: Array[Double] = Array.tabulate(g.nRels) { i =>
+      val rel = g.rels(i)
+      val ts  = catalog(rel.table)
+      rel.preds.foldLeft(ts.rowCount.toDouble)((r, p) => r * ts.column(p.column).selectivity(p))
+    }
+    val memberRel: Array[Array[Int]] = g.classes.map(_.members.map(_._1).toArray).toArray
+    /** ndv of a class member column, capped by the filtered row estimate. */
+    val memberNdv: Array[Array[Double]] = g.classes.map(_.members.map { case (i, col) =>
+      val ndv = catalog(g.rels(i).table).column(col).ndv.toDouble
+      math.max(1.0, math.min(ndv, math.max(1.0, base(i))))
+    }.toArray).toArray
 
-  /** ndv of a class member column, capped by the filtered row estimate. */
-  private def effNdv(g: JoinGraph, i: Int, col: String): Double = {
-    val ndv = catalog(g.rels(i).table).column(col).ndv.toDouble
-    math.max(1.0, math.min(ndv, math.max(1.0, baseRows(g, i))))
-  }
-
-  /** Selectivity contribution of one class restricted to `mask`. */
-  def classSelectivity(g: JoinGraph, c: GraphClass, mask: Long): Double = {
-    val members = c.members.filter(m => (mask & (1L << m._1)) != 0)
-    if (members.size < 2) 1.0
-    else {
-      val maxNdv = members.map { case (i, col) => effNdv(g, i, col) }.max
-      math.pow(1.0 / maxNdv, members.size - 1.0)
+    /** Selectivity contribution of class `k` restricted to `mask`. */
+    def classSelectivity(k: Int, mask: Long): Double = {
+      val rels   = memberRel(k)
+      var n      = 0
+      var maxNdv = 0.0
+      var j      = 0
+      while (j < rels.length) {
+        if ((mask & (1L << rels(j))) != 0) { n += 1; maxNdv = math.max(maxNdv, memberNdv(k)(j)) }
+        j += 1
+      }
+      if (n < 2) 1.0 else math.pow(1.0 / maxNdv, n - 1.0)
     }
   }
 
+  private var graph: JoinGraph = _
+  private var graphStats: GraphStats = _
+
+  private def statsOf(g: JoinGraph): GraphStats = {
+    if (g ne graph) { graphStats = new GraphStats(g); graph = g }
+    graphStats
+  }
+
+  def baseRows(g: JoinGraph, i: Int): Double = statsOf(g).base(i)
+
   override def cardinality(g: JoinGraph, mask: Long): Double = {
+    val gs   = statsOf(g)
     var rows = 1.0
     var m    = mask
     while (m != 0) {
-      val i = java.lang.Long.numberOfTrailingZeros(m)
-      rows *= baseRows(g, i)
+      rows *= gs.base(java.lang.Long.numberOfTrailingZeros(m))
       m &= m - 1
     }
-    for (c <- g.classes) rows *= classSelectivity(g, c, mask)
+    var k = 0
+    while (k < gs.memberRel.length) { rows *= gs.classSelectivity(k, mask); k += 1 }
     // PostgreSQL clamps every joinrel size estimate at one row; without this
     // floor, deep underestimates make further joins look free and the DP
     // chooses catastrophic orders far beyond what the paper observes.
@@ -78,10 +100,15 @@ final class StatsEstimator(val catalog: Catalog) extends Estimator {
     * perfect-(n) composition): class factors of sub∪{r} not already in sub.
     */
   def extendSelectivity(g: JoinGraph, sub: Long, r: Int): Double = {
+    val gs  = statsOf(g)
     val all = sub | (1L << r)
-    g.classes.foldLeft(1.0) { (s, c) =>
-      s * classSelectivity(g, c, all) / classSelectivity(g, c, sub)
+    var s   = 1.0
+    var k   = 0
+    while (k < gs.memberRel.length) {
+      s = s * gs.classSelectivity(k, all) / gs.classSelectivity(k, sub)
+      k += 1
     }
+    s
   }
 }
 

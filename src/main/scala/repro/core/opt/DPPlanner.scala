@@ -5,15 +5,24 @@ import scala.collection.mutable
 import repro.core.ce.Estimator
 import repro.core.stats.Catalog
 
-/** Bushy dynamic-programming plan enumerator over connected subgraphs
-  * (DPsize): the System-R family the paper studies, generalized to bushy
-  * trees and with Cartesian products excluded — like PostgreSQL's standard
-  * join search.
+/** Bushy dynamic-programming plan enumerator over connected subgraphs: the
+  * System-R family the paper studies, generalized to bushy trees and with
+  * Cartesian products excluded — like PostgreSQL's standard join search.
   *
-  * The planner records one cardinality estimate per connected subset
-  * (memoized, exactly like PostgreSQL computes one joinrel size per relation
-  * set); `estimatesBySize` is therefore the per-query contribution to the
-  * paper's Table I.
+  * Enumeration is DPccp (Moerkotte & Neumann, "Analysis of Two Existing and
+  * One New Dynamic Programming Algorithm for the Generation of Optimal Bushy
+  * Join Trees without Cross Products", VLDB 2006). It visits each csg–cmp
+  * pair once: a connected subset S1 and a connected, disjoint complement S2
+  * adjacent to it. The order guarantees that both sides' best plans are final
+  * before the pair is costed. Every pair is oriented so that the left input
+  * holds the lowest relation of S1 ∪ S2, and costs
+  * `left.cost + right.cost + joinCost`. **Tie-break:** among splits of equal
+  * cost, the one whose right mask is numerically largest wins.
+  *
+  * The planner records one cardinality estimate per connected subset (the
+  * first time a pair produces it, exactly like PostgreSQL computes one
+  * joinrel size per relation set); `estimatesBySize` is therefore the
+  * per-query contribution to the paper's Table I.
   */
 final class DPPlanner(cost: CostModel, catalog: Catalog) {
 
@@ -33,64 +42,91 @@ final class DPPlanner(cost: CostModel, catalog: Catalog) {
     val t0 = System.nanoTime()
     require(g.nRels >= 1, "empty graph")
 
-    val cards = mutable.HashMap.empty[Long, Double]
-    def card(mask: Long): Double = cards.getOrElseUpdate(mask, est.cardinality(g, mask))
-
-    val best = mutable.HashMap.empty[Long, Plan]
-    // size 1
-    for (i <- 0 until g.nRels) {
-      val m      = 1L << i
-      val stored = catalog(g.rels(i).table).rowCount
-      best(m) = LeafPlan(i, m, card(m), cost.scanCost(stored))
-    }
-    // connected subsets by size, grown by adjacent relations
-    var frontier: Set[Long] = (0 until g.nRels).map(1L << _).toSet
-    var size = 1
-    while (size < g.nRels) {
-      val next = mutable.HashSet.empty[Long]
-      for (s <- frontier) {
-        var nb = g.neighbors(s)
-        while (nb != 0) {
-          val i = java.lang.Long.numberOfTrailingZeros(nb)
-          next += (s | (1L << i))
-          nb &= nb - 1
-        }
-      }
-      for (s <- next.toSeq.sorted) {
-        val rows = card(s)
-        var bestPlan: Plan = null
-        // enumerate splits containing the lowest bit on the left
-        val low  = java.lang.Long.lowestOneBit(s)
-        val rest = s & ~low
-        var sub  = rest
-        while (sub != 0) {
-          val l = s & ~sub // contains `low`
-          val r = sub
-          (best.get(l), best.get(r)) match {
-            case (Some(lp), Some(rp)) if g.crossClasses(l, r).nonEmpty =>
-              val (phys, buildLeft) = cost.choosePhysical(lp.estRows, rp.estRows)
-              val build = if (buildLeft) lp.estRows else rp.estRows
-              val probe = if (buildLeft) rp.estRows else lp.estRows
-              val c     = lp.cost + rp.cost + cost.joinCost(phys, build, probe, rows)
-              if (bestPlan == null || c < bestPlan.cost)
-                bestPlan = JoinPlan(lp, rp, s, rows, c, phys, buildLeft)
-            case _ =>
-          }
-          sub = (sub - 1) & rest
-        }
-        if (bestPlan != null) best(s) = bestPlan
-      }
-      frontier = next.toSet.filter(best.contains)
-      size += 1
-    }
-
+    val best = new Ccp(g, est).run()
     val top = best.getOrElse(
       g.fullMask,
       throw new IllegalStateException(s"query ${g.name}: join graph not connected"),
     )
-    val bySize = cards.keysIterator.toVector
-      .groupBy(java.lang.Long.bitCount)
-      .view.mapValues(_.size).toMap
-    Result(top, cards.toMap, bySize, System.nanoTime() - t0)
+    val estimates = Map.newBuilder[Long, Double]
+    val bySize    = new Array[Int](g.nRels + 1)
+    best.foreachEntry { (m, p) =>
+      estimates += m -> p.estRows
+      bySize(java.lang.Long.bitCount(m)) += 1
+    }
+    Result(top, estimates.result(), bySize.indices.filter(bySize(_) > 0).map(k => k -> bySize(k)).toMap,
+      System.nanoTime() - t0)
+  }
+
+  /** One planning call's DP table: the best plan of every connected subset. */
+  private final class Ccp(g: JoinGraph, est: Estimator) {
+    private val best = mutable.LongMap.empty[Plan]
+
+    def run(): mutable.LongMap[Plan] = {
+      for (i <- 0 until g.nRels) {
+        val m = 1L << i
+        best(m) = LeafPlan(i, m, est.cardinality(g, m), cost.scanCost(catalog(g.rels(i).table).rowCount))
+      }
+      // csgs whose lowest relation is i, for i descending
+      var i = g.nRels - 1
+      while (i >= 0) {
+        val v = 1L << i
+        csg(v)
+        grow(0L, v, v | (v - 1))
+        i -= 1
+      }
+      best
+    }
+
+    /** Extend the connected set `s` by every non-empty subset of its
+      * neighbours outside `x`, a subset before its supersets; then grow each
+      * extension further, with those neighbours excluded. An extension is a
+      * new csg when `s1` is 0, otherwise a complement of the csg `s1`.
+      */
+    private def grow(s1: Long, s: Long, x: Long): Unit = {
+      val nb  = g.neighbors(s) & ~x
+      var sub = nb & -nb
+      while (sub != 0) {
+        if (s1 == 0) csg(s | sub) else join(s1, s | sub)
+        sub = (sub - nb) & nb
+      }
+      sub = nb & -nb
+      while (sub != 0) {
+        grow(s1, s | sub, x | nb)
+        sub = (sub - nb) & nb
+      }
+    }
+
+    /** Pair the csg `s1` with each complement whose relations all lie above
+      * min(`s1`): grown from each neighbour v, highest first, excluding the
+      * lower neighbours.
+      */
+    private def csg(s1: Long): Unit = {
+      val x    = s1 | (java.lang.Long.lowestOneBit(s1) - 1)
+      val nb   = g.neighbors(s1) & ~x
+      var rest = nb
+      while (rest != 0) {
+        val v = java.lang.Long.highestOneBit(rest)
+        join(s1, v)
+        grow(s1, v, x | (nb & (v | (v - 1))))
+        rest &= ~v
+      }
+    }
+
+    /** Cost the join of the csg–cmp pair (`l`, `r`) into their union. The
+      * complement `r` lies above min(`l`), so `l` holds the lowest relation.
+      */
+    private def join(l: Long, r: Long): Unit = {
+      val s    = l | r
+      val lp   = best(l)
+      val rp   = best(r)
+      val cur  = best.getOrNull(s).asInstanceOf[JoinPlan]
+      val rows = if (cur == null) est.cardinality(g, s) else cur.estRows
+      val (phys, buildLeft) = cost.choosePhysical(lp.estRows, rp.estRows)
+      val build = if (buildLeft) lp.estRows else rp.estRows
+      val probe = if (buildLeft) rp.estRows else lp.estRows
+      val c     = lp.cost + rp.cost + cost.joinCost(phys, build, probe, rows)
+      if (cur == null || c < cur.cost || (c == cur.cost && r > cur.right.mask))
+        best(s) = JoinPlan(lp, rp, s, rows, c, phys, buildLeft)
+    }
   }
 }

@@ -30,10 +30,10 @@ final case class JoinGraph(name: String, rels: Vector[GraphRel], classes: Vector
   val fullMask: Long = if (nRels == 0) 0L else (1L << nRels) - 1
 
   /** Relations adjacent to relation i (sharing a class), excluding i. */
-  val adjacency: Vector[Long] = {
-    val adj = Array.fill(nRels)(0L)
+  val adjacency: Array[Long] = {
+    val adj = new Array[Long](nRels)
     for (c <- classes; (i, _) <- c.members) adj(i) |= c.relMask & ~(1L << i)
-    adj.toVector
+    adj
   }
 
   /** Union of original-relation masks covered by `mask`. */

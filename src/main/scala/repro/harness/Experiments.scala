@@ -75,20 +75,29 @@ object Experiments {
   /** Fig 7's re-optimization thresholds. */
   val Taus: Vector[Double]    = Vector(2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 512.0)
 
-  /** Run every simulated configuration of one query on one shared oracle. */
+  /** Run every simulated configuration of one query on one shared oracle.
+    * Perfect-(0) is the stats estimator and perfect-(n) for n ≥ the query's
+    * size is exact on every subset, so those reuse the pg and perfect plans;
+    * Fig 8's re-optimized perfect-(0) is Fig 7's τ run.
+    */
   def runQuery(wb: Workbench, q: QuerySpec): QueryRun = {
-    val ctx   = new QueryCtx(wb, q)
-    val stats = ctx.planner.plan(ctx.graph, ctx.statsEstimator())
+    val ctx       = new QueryCtx(wb, q)
+    val stats     = ctx.planner.plan(ctx.graph, ctx.statsEstimator())
+    val pgMs      = SimExecutor.toMillis(ctx.sim.executionWork(ctx.graph, ctx.truth, stats.plan))
+    val perfectMs = ctx.simRun(ctx.perfect)._1
+    val tauMs = Taus.map { t =>
+      val r = ctx.simReopt(t, cat => ctx.statsEstimator(cat))
+      t -> (r.execMs, r.planMs)
+    }.toMap
     QueryRun(
-      q.name, stats.estimatesBySize,
-      SimExecutor.toMillis(ctx.sim.executionWork(ctx.graph, ctx.truth, stats.plan)),
-      ctx.simRun(ctx.perfect)._1,
-      PerfectNs.map(n => n -> ctx.simRun(ctx.perfectN(n))._1).toMap,
-      ReoptNs.map(n => n -> ctx.simReopt(Tau, cat => ctx.perfectN(n, cat)).execMs).toMap,
-      Taus.map { t =>
-        val r = ctx.simReopt(t, cat => ctx.statsEstimator(cat))
-        t -> (r.execMs, r.planMs)
+      q.name, stats.estimatesBySize, pgMs, perfectMs,
+      PerfectNs.map { n =>
+        n -> (if (n <= 0) pgMs else if (n >= q.size) perfectMs else ctx.simRun(ctx.perfectN(n))._1)
       }.toMap,
+      ReoptNs.map { n =>
+        n -> (if (n <= 0) tauMs(Tau)._1 else ctx.simReopt(Tau, cat => ctx.perfectN(n, cat)).execMs)
+      }.toMap,
+      tauMs,
     )
   }
 

@@ -1,5 +1,7 @@
 package repro.core.opt
 
+import org.scalacheck.{Gen, Test}
+import org.scalacheck.Prop.{forAll, propBoolean}
 import org.scalatest.funsuite.AnyFunSuite
 
 import repro.{SparkSpec, TestData}
@@ -136,6 +138,53 @@ class DPPlannerToySpec extends AnyFunSuite {
     val sizes = res.plan.joinsBottomUp.map(j => java.lang.Long.bitCount(j.mask))
     assert(sizes == sizes.sorted)
   }
+
+  /** A random connected graph of `n` relations, numbered in random order: a
+    * random spanning tree whose edges join an existing class of the parent
+    * or open a new one, plus up to two extra classes that close cycles.
+    */
+  private def randomGraph(n: Int, rnd: scala.util.Random): JoinGraph = {
+    val perm    = rnd.shuffle((0 until n).toVector)
+    val classes = collection.mutable.ArrayBuffer.empty[Vector[Int]]
+    for (i <- 1 until n) {
+      val p   = rnd.nextInt(i)
+      val own = classes.indices.filter(classes(_).contains(p))
+      if (own.nonEmpty && rnd.nextBoolean()) {
+        val k = own(rnd.nextInt(own.size))
+        classes(k) = classes(k) :+ i
+      } else classes += Vector(p, i)
+    }
+    for (_ <- 0 until rnd.nextInt(3))
+      classes += rnd.shuffle((0 until n).toVector).take(2 + rnd.nextInt(math.min(n, 4) - 1))
+    JoinGraph(
+      s"random$n",
+      (0 until n).toVector.map(i => GraphRel(s"r$i", ('a' + i % 6).toChar.toString, Vector.empty, 1L << i)),
+      classes.toVector.zipWithIndex.map { case (ms, k) =>
+        GraphClass(k, ms.map(m => (perm(m), s"c$k")))
+      },
+    )
+  }
+
+  test("random connected graphs: optimal cost, one estimate per connected subset (scalacheck)") {
+    val prop = forAll(Gen.choose(2, 8), Gen.long) { (n, seed) =>
+      val rnd   = new scala.util.Random(seed)
+      val g     = randomGraph(n, rnd)
+      val cards = (1L to g.fullMask).map(m => m -> math.exp(rnd.nextDouble() * 14)).toMap
+      val calls = collection.mutable.HashMap.empty[Long, Int]
+      val counting = new Estimator {
+        override def cardinality(g: JoinGraph, mask: Long): Double = {
+          calls(mask) = calls.getOrElse(mask, 0) + 1
+          cards(mask)
+        }
+      }
+      val res = planner.plan(g, counting)
+      val connected = (1L to g.fullMask).filter(g.connected)
+      (res.plan.cost == bruteBest(g, new FixedEst(cards))) :| s"cost on $g" &&
+      (calls.toMap == connected.map(_ -> 1).toMap) :| s"estimator calls on $g"
+    }
+    val res = Test.check(Test.Parameters.default.withMinSuccessfulTests(300), prop)
+    assert(res.passed, res.status.toString)
+  }
 }
 
 /** Planner over the full workload: structural invariants on all 113 graphs
@@ -152,8 +201,9 @@ class DPPlannerWorkloadSpec extends SparkSpec {
       assert(res.plan.mask == g.fullMask)
       for (j <- res.plan.joinsBottomUp)
         assert(g.crossClasses(j.left.mask, j.right.mask).nonEmpty)
-      assert(res.estimatesBySize(1) == q.size)
-      assert(res.estimatesBySize.keys.max == q.size)
+      // Table I: one estimate per connected subset, counted per size
+      val connected = (1L to g.fullMask).filter(g.connected)
+      assert(res.estimatesBySize == connected.groupBy(java.lang.Long.bitCount).view.mapValues(_.size).toMap)
     }
   }
 }
