@@ -22,20 +22,22 @@ final class SimExecutor(cost: CostModel, catalog: Catalog) {
 
   /** Work to execute `plan` against the true data distribution. */
   def executionWork(g: JoinGraph, truth: TrueCardinality, plan: Plan): Double =
-    work(g, truth.newScope(), plan)
+    executionWork(g, truth.newScope(), plan)
 
   /** Work to execute `plan` *and* write its result out as a temporary table
     * (the materialization step of re-optimization).
     */
-  def materializationWork(g: JoinGraph, truth: TrueCardinality, plan: Plan): Double = {
-    val scope = truth.newScope()
-    work(g, scope, plan) + cost.writeFactor * scope.card(g.origUnion(plan.mask)).toDouble
-  }
+  def materializationWork(g: JoinGraph, truth: TrueCardinality, plan: Plan): Double =
+    materializationWork(g, truth.newScope(), plan)
 
-  /** Prices every node of one plan through one oracle scope: its nested
-    * sub-joins share their relations' grouped rows.
+  /** [[materializationWork]] through a caller's oracle scope. */
+  def materializationWork(g: JoinGraph, truth: TrueCardinality#Scope, plan: Plan): Double =
+    executionWork(g, truth, plan) + cost.writeFactor * truth.card(g.origUnion(plan.mask)).toDouble
+
+  /** [[executionWork]] through a caller's oracle scope, which every node of
+    * the plan shares: nested sub-joins reuse their relations' row indexes.
     */
-  private def work(g: JoinGraph, truth: TrueCardinality#Scope, plan: Plan): Double = plan match {
+  def executionWork(g: JoinGraph, truth: TrueCardinality#Scope, plan: Plan): Double = plan match {
     case l: LeafPlan =>
       val rel = g.rels(l.relIdx)
       // materialized temporaries are not in the base catalog; their stored
@@ -44,8 +46,8 @@ final class SimExecutor(cost: CostModel, catalog: Catalog) {
         .getOrElse(truth.card(rel.origMask).toDouble)
       cost.scanCost(stored.toLong)
     case j: JoinPlan =>
-      val lw    = work(g, truth, j.left)
-      val rw    = work(g, truth, j.right)
+      val lw    = executionWork(g, truth, j.left)
+      val rw    = executionWork(g, truth, j.right)
       val lRows = truth.card(g.origUnion(j.left.mask)).toDouble
       val rRows = truth.card(g.origUnion(j.right.mask)).toDouble
       val out   = truth.card(g.origUnion(j.mask)).toDouble

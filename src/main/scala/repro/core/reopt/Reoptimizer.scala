@@ -22,15 +22,19 @@ trait ExecBackend {
 }
 
 /** Deterministic backend: prices execution with true cardinalities via
-  * [[SimExecutor]]; temp statistics come exactly from the oracle.
+  * [[SimExecutor]]; temp statistics come exactly from the oracle. One oracle
+  * scope serves the backend's lifetime (one loop run), so every pricing and
+  * temp-statistics call shares the relation row indexes it builds.
   */
 final class SimBackend(sim: SimExecutor, truth: TrueCardinality) extends ExecBackend {
+  private val scope = truth.newScope()
+
   override def run(g: JoinGraph, plan: Plan): Double =
-    SimExecutor.toMillis(sim.executionWork(g, truth, plan))
+    SimExecutor.toMillis(sim.executionWork(g, scope, plan))
 
   override def materialize(g: JoinGraph, plan: Plan, tempName: String): (Double, TableStats) = {
-    val ms = SimExecutor.toMillis(sim.materializationWork(g, truth, plan))
-    (ms, Reoptimizer.tempStats(g, truth, plan.mask))
+    val ms = SimExecutor.toMillis(sim.materializationWork(g, scope, plan))
+    (ms, Reoptimizer.tempStats(g, scope, plan.mask))
   }
 }
 
@@ -166,8 +170,11 @@ object Reoptimizer {
     * count and per-interface-column ndv from the oracle (what ANALYZE on the
     * temp table would return; the data was just computed, so this is free).
     */
-  def tempStats(g: JoinGraph, truth: TrueCardinality, mask: Long): TableStats = {
-    val scope = truth.newScope()
+  def tempStats(g: JoinGraph, truth: TrueCardinality, mask: Long): TableStats =
+    tempStats(g, truth.newScope(), mask)
+
+  /** [[tempStats]] through a caller's oracle scope. */
+  def tempStats(g: JoinGraph, scope: TrueCardinality#Scope, mask: Long): TableStats = {
     val orig  = g.origUnion(mask)
     val rows  = scope.card(orig)
     // Interface classes in *original graph* terms: use origIds valid on g.

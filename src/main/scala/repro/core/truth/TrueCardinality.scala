@@ -25,15 +25,18 @@ import repro.core.opt.JoinGraph
   * numbers by instrumenting executions offline.
   *
   * Class sets are `Long` bitmasks over `graph.classes`, and every map is a
-  * [[TupleMap]] of primitive `Long` tuples. Absorbing relation r joins the
-  * prefix's map with r's filtered rows grouped by (join classes, classes r
-  * adds to the frontier). Those groupings recur across the thousands of
-  * subsets one DP enumerates, so they are built once per [[Scope]]: a scope
-  * lasts one planning or loop run (one estimator, one `SimExecutor` pricing,
-  * one `tempStats`, one loop's trigger lookups) and is dropped with it. The
-  * oracle itself keeps only the `card`/`classNdv` count memos: callers keep
-  * oracles alive for a whole query, and the groupings of a 17-relation query
-  * are far larger than its memo (held by the oracle, they took perfbench's
+  * [[TupleMap]] of primitive `Long` tuples. Absorbing relation r is a hash
+  * join: each prefix tuple probes an index of r's filtered rows keyed by the
+  * classes joining r to the prefix (Yannakakis, VLDB 1981). One index per
+  * (relation, join classes) serves every subset and every set of classes r
+  * adds, so indexes are built once per [[Scope]]: a scope lasts one planning
+  * or loop run and is dropped with it. Its owners are the perfect
+  * estimators (one DP run each), a [[repro.core.reopt.SimBackend]] (its
+  * pricing and temp statistics for one loop run) and the loop's trigger
+  * lookups. The oracle itself keeps only the `card`/`classNdv` count memos:
+  * callers keep oracles alive for a whole query, and the per-relation
+  * structures of a 17-relation query are far larger than its memo (held by
+  * the oracle, the grouped rows that preceded the indexes took perfbench's
   * live-heap peak from 63 to 119 MB on `perfect-oracle` and from 71 to
   * 238 MB on `reopt`).
   *
@@ -46,21 +49,36 @@ final class TrueCardinality(val graph: JoinGraph, db: LocalDB) {
   private val cardCache = mutable.HashMap.empty[Long, Long]
   private val ndvCache  = mutable.HashMap.empty[(Long, Int), Long]
 
-  /** Filtered row indices per relation (the relation's local predicates). */
+  /** Filtered row ids per relation (its local predicates), or null for a
+    * relation without predicates: all of its rows.
+    */
   private val filtered: Array[Array[Int]] = graph.rels.map { rel =>
-    val t     = db(rel.table)
-    val preds = rel.preds.map(p => (t.col(p.column), p))
-    val buf   = new mutable.ArrayBuilder.ofInt
-    var r = 0
-    while (r < t.rowCount) {
-      var ok = true
-      var pi = 0
-      while (ok && pi < preds.length) { ok = preds(pi)._2.eval(preds(pi)._1(r)); pi += 1 }
-      if (ok) buf += r
-      r += 1
+    if (rel.preds.isEmpty) null
+    else {
+      val t     = db(rel.table)
+      val preds = rel.preds.map(p => (t.col(p.column), p))
+      val buf   = new mutable.ArrayBuilder.ofInt
+      var r = 0
+      while (r < t.rowCount) {
+        var ok = true
+        var pi = 0
+        while (ok && pi < preds.length) { ok = preds(pi)._2.eval(preds(pi)._1(r)); pi += 1 }
+        if (ok) buf += r
+        r += 1
+      }
+      buf.result()
     }
-    buf.result()
   }.toArray
+
+  /** Filtered row count per relation. */
+  private val nRows: Array[Int] = Array.tabulate(graph.nRels)(i =>
+    if (filtered(i) == null) db(graph.rels(i).table).rowCount else filtered(i).length)
+
+  /** Row id of relation i's k-th filtered row. */
+  private def rowId(i: Int, k: Int): Int = {
+    val f = filtered(i)
+    if (f == null) k else f(k)
+  }
 
   /** Classes (bitmask over graph.classes) touching relation i. */
   private val relClasses: Array[Long] = Array.tabulate(graph.nRels) { i =>
@@ -109,7 +127,7 @@ final class TrueCardinality(val graph: JoinGraph, db: LocalDB) {
     var start = -1
     while (m != 0) {
       val i = java.lang.Long.numberOfTrailingZeros(m)
-      if (start < 0 || filtered(i).length < filtered(start).length) start = i
+      if (start < 0 || nRows(i) < nRows(start)) start = i
       m &= m - 1
     }
     order(0) = start
@@ -124,7 +142,7 @@ final class TrueCardinality(val graph: JoinGraph, db: LocalDB) {
         if ((relClasses(i) & reach) != 0) {
           val p    = prefix | (1L << i)
           val open = java.lang.Long.bitCount(inner & touching(p) & touching(mask & ~p))
-          val rows = filtered(i).length
+          val rows = nRows(i)
           if (next < 0 || open < nextOpen || (open == nextOpen && rows < nextRows)) {
             next = i; nextOpen = open; nextRows = rows
           }
@@ -139,36 +157,50 @@ final class TrueCardinality(val graph: JoinGraph, db: LocalDB) {
     order
   }
 
-  /** Relation i's filtered rows grouped by the classes `join` (the group key)
-    * and `out` (the tuples within a group), both in ascending class order.
+  /** Relation i's filtered rows projected onto the classes `cs` (ascending
+    * class order), with the row count of each distinct tuple. If `gid` is
+    * given, its k-th entry is set to the entry of the k-th filtered row.
     */
-  private def group(i: Int, join: Long, out: Long): Grouped = {
-    val jw    = java.lang.Long.bitCount(join)
-    val w     = jw + java.lang.Long.bitCount(out)
-    val cols  = (classList(join) ++ classList(out)).map(classCol(_, i))
-    val rows  = filtered(i)
+  private def project(i: Int, cs: Long, gid: Array[Int] = null): TupleMap = {
+    val cols  = classList(cs).map(classCol(_, i))
+    val w     = cols.length
+    val n     = nRows(i)
+    val out   = new TupleMap(w, n)
     val tuple = new Array[Long](w)
-    val both  = new TupleMap(w, rows.length)
-    for (r <- rows) {
+    var k = 0
+    while (k < n) {
+      val r = rowId(i, k)
       var x = 0
       while (x < w) { tuple(x) = cols(x)(r); x += 1 }
-      both.add(tuple, 0, 1L)
+      val e = out.add(tuple, 0, 1L)
+      if (gid != null) gid(k) = e
+      k += 1
     }
-    // counting sort of the distinct (join, out) tuples by join key
-    val index = new TupleMap(jw, both.size)
-    val gid   = Array.tabulate(both.size)(e => index.add(both.keys, e * w, 1L))
-    val start = new Array[Int](index.size + 1)
-    for (g <- 0 until index.size) start(g + 1) = start(g) + index.vals(g).toInt
-    val next    = start.clone()
-    val ow      = w - jw
-    val tuples  = new Array[Long](both.size * ow)
-    val counts  = new Array[Long](both.size)
-    for (e <- 0 until both.size) {
-      val t = next(gid(e)); next(gid(e)) += 1
-      System.arraycopy(both.keys, e * w + jw, tuples, t * ow, ow)
-      counts(t) = both.vals(e)
+    out
+  }
+
+  /** Relation i's filtered row ids grouped by their values of the classes
+    * `join`: a counting sort by group.
+    */
+  private def buildIndex(i: Int, join: Long): RowIndex = {
+    val n    = nRows(i)
+    val gid  = new Array[Int](n)
+    val keys = project(i, join, gid)
+    // start(g) holds group g's end, and moves down to its start as the
+    // group's rows are placed, last row first
+    val start = new Array[Int](keys.size + 1)
+    var end = 0
+    for (g <- 0 until keys.size) { end += keys.vals(g).toInt; start(g) = end }
+    start(keys.size) = n
+    val rows = new Array[Int](n)
+    var k = n - 1
+    while (k >= 0) {
+      val g = gid(k)
+      start(g) -= 1
+      rows(start(g)) = rowId(i, k)
+      k -= 1
     }
-    new Grouped(index, start, tuples, counts)
+    new RowIndex(keys, start, rows)
   }
 
   /** Eliminate `mask` along the greedy chain. If `keepClass >= 0` (a class
@@ -181,11 +213,10 @@ final class TrueCardinality(val graph: JoinGraph, db: LocalDB) {
     val order = chainOrder(mask)
     var prefix = 1L << order(0)
     var key    = frontier(mask, prefix, keepClass)
-    // the first relation's rows, grouped by nothing: one group (if any rows)
-    val first = scope.grouped(order(0), 0L, key)
-    var keys  = first.tuples
-    var vals  = first.counts
-    var n     = first.counts.length
+    val first  = project(order(0), key)
+    var keys   = first.keys
+    var vals   = first.vals
+    var n      = first.size
 
     var k = 1
     while (k < order.length) {
@@ -194,11 +225,11 @@ final class TrueCardinality(val graph: JoinGraph, db: LocalDB) {
       val newKey = frontier(mask, prefix, keepClass)
       val join   = relClasses(i) & key   // every class joining i to the prefix is on the frontier
       val added  = newKey & ~key          // classes first touched by i
-      val g      = scope.grouped(i, join, added)
+      val index  = scope.index(i, join)
       val w      = java.lang.Long.bitCount(key)
-      val ow     = java.lang.Long.bitCount(added)
       val jPos   = classList(join).map(position(key, _))
-      // each output position reads the prefix's tuple (>= 0) or i's (~pos)
+      val aCols  = classList(added).map(classCol(_, i))
+      // each output position reads the prefix's tuple (>= 0) or i's column ~pos
       val src    = classList(newKey).map(ci =>
         if ((key & (1L << ci)) != 0) position(key, ci) else ~position(added, ci))
       val jk     = new Array[Long](jPos.length)
@@ -208,19 +239,27 @@ final class TrueCardinality(val graph: JoinGraph, db: LocalDB) {
       while (e < n) {
         var x = 0
         while (x < jPos.length) { jk(x) = keys(e * w + jPos(x)); x += 1 }
-        val gi = g.index.find(jk, 0)
-        if (gi >= 0) {
+        val g = index.keys.find(jk, 0)
+        if (g >= 0) {
           val cnt = vals(e)
-          var t = g.start(gi)
-          while (t < g.start(gi + 1)) {
+          if (added == 0) {
+            // the output tuple is the prefix's: the whole group matches it
             x = 0
-            while (x < src.length) {
-              val s = src(x)
-              outKey(x) = if (s >= 0) keys(e * w + s) else g.tuples(t * ow + ~s)
-              x += 1
+            while (x < src.length) { outKey(x) = keys(e * w + src(x)); x += 1 }
+            out.add(outKey, 0, cnt * index.keys.vals(g))
+          } else {
+            var t = index.start(g)
+            while (t < index.start(g + 1)) {
+              val r = index.rows(t)
+              x = 0
+              while (x < src.length) {
+                val s = src(x)
+                outKey(x) = if (s >= 0) keys(e * w + s) else aCols(~s)(r)
+                x += 1
+              }
+              out.add(outKey, 0, cnt)
+              t += 1
             }
-            out.add(outKey, 0, cnt * g.counts(t))
-            t += 1
           }
         }
         e += 1
@@ -247,27 +286,30 @@ final class TrueCardinality(val graph: JoinGraph, db: LocalDB) {
   def memoSize: Int = cardCache.size
 
   /** The oracle's queries within one planning or loop run, sharing the
-    * grouped relation rows they build. Counts are memoized in the oracle, so
-    * they outlive the scope; the groupings do not.
+    * relation row indexes they build. Counts are memoized in the oracle, so
+    * they outlive the scope; the indexes do not. The scope's owner (a perfect
+    * estimator, a `SimBackend`, a loop's trigger) drops it with its run.
     */
   final class Scope private[TrueCardinality] () {
-    private val groups = mutable.HashMap.empty[(Int, Long, Long), Grouped]
-    private var held   = 0L
+    private val indexes = Array.fill(graph.nRels)(mutable.LongMap.empty[RowIndex])
+    private var held    = 0L
 
-    /** Grouped entries (distinct tuples over all groupings) this scope holds. */
+    /** Rows this scope has indexed, summed over its indexes. */
     def entries: Long = held
 
-    private[TrueCardinality] def grouped(i: Int, join: Long, out: Long): Grouped =
-      groups.getOrElseUpdate((i, join, out), {
-        val g = group(i, join, out)
-        held += g.counts.length
-        g
+    /** Relation i's filtered rows indexed by the classes `join`. */
+    private[truth] def index(i: Int, join: Long): RowIndex =
+      indexes(i).getOrElseUpdate(join, {
+        val x = buildIndex(i, join)
+        held += x.rows.length
+        x
       })
 
     /** Exact |⋈ S| (with all base filters applied) for connected subset S. */
     def card(mask: Long): Long = cardCache.getOrElseUpdate(mask, {
       require(graph.connected(mask), s"not a connected subset: $mask")
-      eliminate(mask, keepClass = -1, this).sum
+      if (java.lang.Long.bitCount(mask) == 1) nRows(java.lang.Long.numberOfTrailingZeros(mask)).toLong
+      else eliminate(mask, keepClass = -1, this).sum
     })
 
     /** Exact number of distinct values of class `origId` (which must touch S)
@@ -295,17 +337,11 @@ final class TrueCardinality(val graph: JoinGraph, db: LocalDB) {
   private def position(cs: Long, ci: Int): Int = java.lang.Long.bitCount(cs & ((1L << ci) - 1))
 }
 
-/** One relation's filtered rows grouped by a join key: group g (entry g of
-  * `index`, whose value is the group's size) holds the tuples
-  * `start(g) until start(g + 1)` of `tuples` (each `tuples.length /
-  * counts.length` wide) with their row counts.
+/** One relation's filtered row ids grouped by their join-class values, in
+  * CSR layout: group g (entry g of `keys`, whose value is the group's size)
+  * holds the row ids `rows(start(g) until start(g + 1))`, ascending.
   */
-private[truth] final class Grouped(
-    val index: TupleMap,
-    val start: Array[Int],
-    val tuples: Array[Long],
-    val counts: Array[Long],
-)
+private[truth] final class RowIndex(val keys: TupleMap, val start: Array[Int], val rows: Array[Int])
 
 /** Insertion-ordered, open-addressing map from fixed-width `Long` tuples
   * (width 0 … k) to `Long` sums. Entry e's key is

@@ -3,7 +3,8 @@ package repro.core.reopt
 import repro.{SparkSpec, TestData}
 import repro.core.ce.{PerfectEstimator, StatsEstimator}
 import repro.core.exec.SimExecutor
-import repro.core.opt.{DPPlanner, JoinGraph}
+import repro.core.opt.{DPPlanner, JoinGraph, Plan}
+import repro.core.stats.TableStats
 import repro.core.truth.TrueCardinality
 import repro.workload.JobLite
 
@@ -111,6 +112,31 @@ class ReoptimizerSpec extends SparkSpec {
       .run(g, t, cat => new StatsEstimator(cat), new SimBackend(sim, t),
            threshold = 1.0001, maxSteps = 2)
     assert(r.replans <= 2)
+  }
+
+  test("tau=32 on all 113 queries: one SimBackend scope equals a fresh scope per call") {
+    val sim = new SimExecutor(wb.cost, wb.catalog)
+    /** Opens a fresh oracle scope on every call. */
+    final class FreshScopeBackend(truth: TrueCardinality) extends ExecBackend {
+      override def run(g: JoinGraph, plan: Plan): Double =
+        SimExecutor.toMillis(sim.executionWork(g, truth, plan))
+      override def materialize(g: JoinGraph, plan: Plan, tempName: String): (Double, TableStats) =
+        (SimExecutor.toMillis(sim.materializationWork(g, truth, plan)), Reoptimizer.tempStats(g, truth, plan.mask))
+    }
+    val ro = new Reoptimizer(wb.cost, wb.catalog)
+    for (q <- JobLite.all) {
+      val g = JoinGraph.fromSpec(q)
+      def loop(backend: TrueCardinality => ExecBackend) = {
+        val t = new TrueCardinality(g, wb.local)
+        ro.run(g, t, cat => new StatsEstimator(cat), backend(t), threshold = 32.0)
+      }
+      val one   = loop(new SimBackend(sim, _))
+      val fresh = loop(new FreshScopeBackend(_))
+      assert(one.steps == fresh.steps, q.name)
+      assert(one.execMs == fresh.execMs, q.name)
+      assert(one.finalPlan == fresh.finalPlan, q.name)
+      assert(one.finalGraph == fresh.finalGraph, q.name)
+    }
   }
 
   test("temp stats are exact (rows and interface ndv)") {

@@ -135,6 +135,110 @@ class TrueCardinalityToySpec extends AnyFunSuite {
     assert(shared.entries > 0)
   }
 
+  // toy star with a three-class fact: s(a, b, c) ⋈ da(id) ⋈ db(id) ⋈ dc(id).
+  // s repeats (a, b, c) = (1, 1, 5), and db and dc repeat ids.
+  private val db2 = LocalDB(Map(
+    "s"  -> LocalTable("s", Vector("a", "b", "c"),
+      Map("a" -> Array[Long](1, 1, 1, 1, 2, 2, 3, 1),
+          "b" -> Array[Long](1, 1, 2, 2, 1, 9, 1, 1),
+          "c" -> Array[Long](5, 5, 5, 6, 6, 5, 5, 5))),
+    "da" -> LocalTable("da", Vector("id", "p"),
+      Map("id" -> Array[Long](1, 2, 3), "p" -> Array[Long](0, 1, 1))),
+    "db" -> LocalTable("db", Vector("id"), Map("id" -> Array[Long](1, 2, 2))),
+    "dc" -> LocalTable("dc", Vector("id"), Map("id" -> Array[Long](5, 6, 6, 7))),
+  ))
+
+  private def star(preds: Map[String, Vector[repro.workload.Pred]]) = JoinGraph(
+    "star",
+    Vector("s", "da", "db", "dc").zipWithIndex.map { case (t, i) =>
+      GraphRel(t, t, preds.getOrElse(t, Vector.empty), 1L << i)
+    },
+    Vector(
+      GraphClass(0, Vector((0, "a"), (1, "id"))),
+      GraphClass(1, Vector((0, "b"), (2, "id"))),
+      GraphClass(2, Vector((0, "c"), (3, "id"))),
+    ),
+  )
+
+  private def classValue(g: JoinGraph, d: LocalDB, ci: Int, i: Int, r: Int): Long =
+    d(g.rels(i).table).col(g.classes(ci).members.find(_._1 == i).get._2)(r)
+
+  /** Brute force: every combination of one filtered row per relation of
+    * `mask` that agrees on every join class, as row ids by relation.
+    */
+  private def bruteJoin(g: JoinGraph, d: LocalDB, mask: Long): Seq[Map[Int, Int]] =
+    (0 until g.nRels).filter(i => (mask & (1L << i)) != 0).foldLeft(Seq(Map.empty[Int, Int])) { (acc, i) =>
+      val t = d(g.rels(i).table)
+      for {
+        m <- acc
+        r <- 0 until t.rowCount
+        if g.rels(i).preds.forall(p => p.eval(t.col(p.column)(r)))
+        if g.classes.indices.forall(ci => (g.classes(ci).relMask & (1L << i)) == 0 ||
+          m.forall { case (j, rj) =>
+            (g.classes(ci).relMask & (1L << j)) == 0 || classValue(g, d, ci, j, rj) == classValue(g, d, ci, i, r)
+          })
+      } yield m + (i -> r)
+    }
+
+  /** `card` and `classNdv` (every touching class) of every connected subset
+    * equal brute force, through one scope.
+    */
+  private def assertBrute(g: JoinGraph, d: LocalDB): Unit = {
+    val scope = new TrueCardinality(g, d).newScope()
+    for (m <- 1L to g.fullMask if g.connected(m)) {
+      val rows = bruteJoin(g, d, m)
+      assert(scope.card(m) == rows.size, s"card, mask $m")
+      for (ci <- g.classes.indices if (g.classes(ci).relMask & m) != 0) {
+        val j = java.lang.Long.numberOfTrailingZeros(g.classes(ci).relMask & m)
+        assert(scope.classNdv(m, g.classes(ci).origId) ==
+          rows.map(x => classValue(g, d, ci, j, x(j))).distinct.size, s"classNdv, mask $m class $ci")
+      }
+    }
+  }
+
+  test("relations without predicates count every row") {
+    assertBrute(star(Map.empty), db2)
+    assertBrute(star(Map("da" -> Vector(EqPred("p", 1)))), db2)
+  }
+
+  test("a relation whose predicate rejects every row builds an empty index") {
+    // db and dc keep no rows: the chain starts at db and reaches dc later,
+    // so dc is indexed (by class 2) with no rows
+    val never = Vector[repro.workload.Pred](RangePred("id", 100, 200))
+    val g     = star(Map("db" -> never, "dc" -> never))
+    val t     = new TrueCardinality(g, db2)
+    val order = t.chainOrder(g.fullMask)
+    assert(order(0) == 2 && order.indexOf(3) > 0)
+    val scope = t.newScope()
+    assert(scope.card(g.fullMask) == 0)
+    val dc = scope.index(3, 1L << 2)
+    assert(dc.keys.size == 0 && dc.rows.isEmpty && dc.start.sameElements(Array(0)))
+    assertBrute(g, db2)
+  }
+
+  test("single-relation card is the filtered row count and builds no index") {
+    val g     = star(Map("da" -> Vector(EqPred("p", 1))))
+    val scope = new TrueCardinality(g, db2).newScope()
+    assert((0 until g.nRels).map(i => scope.card(1L << i)) == Seq(8L, 2L, 3L, 4L))
+    assert(scope.classNdv(1L, 0) == 3 && scope.classNdv(1L, 1) == 3 && scope.classNdv(1L, 2) == 2)
+    assert(scope.classNdv(4L, 1) == 2 && scope.classNdv(8L, 2) == 3)
+    assert(scope.entries == 0)
+  }
+
+  test("steps adding two classes over duplicate rows, then none, count exactly") {
+    // da keeps one row, so the chain is da, s (adds classes 1 and 2, over
+    // s's repeated rows), db and dc (each adds none)
+    val g = star(Map("da" -> Vector(EqPred("p", 0))))
+    val t = new TrueCardinality(g, db2)
+    val order = t.chainOrder(g.fullMask)
+    assert(order.toSeq == Seq(1, 0, 2, 3))
+    val keys = order.indices.map(k =>
+      t.frontier(g.fullMask, order.take(k + 1).foldLeft(0L)((p, i) => p | (1L << i)), -1))
+    assert(keys == Seq(1L, 6L, 4L, 0L))
+    assert(t.card(g.fullMask) == 9)
+    assertBrute(g, db2)
+  }
+
   test("TupleMap grows past its initial capacity and keeps insertion order") {
     val m   = new TupleMap(2, 1)
     val key = new Array[Long](2)
