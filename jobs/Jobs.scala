@@ -5,7 +5,9 @@ import org.apache.logging.log4j.core.config.Configurator
 import org.apache.logging.log4j.core.config.builder.api.ConfigurationBuilderFactory
 import org.apache.spark.sql.SparkSession
 
+import repro.core.data.LocalDB
 import repro.harness.{Experiments, Report, Workbench}
+import repro.imdb.ImdbLite
 import repro.workload.JobLite
 
 /** spark-submit entrypoint for the paper's tables and figures:
@@ -16,9 +18,23 @@ import repro.workload.JobLite
   * the same table as the corresponding bench suite (bench/src/test/scala/repro/bench);
   * sf defaults to REPRO_BENCH_SF, else 0.1. As in the test JVMs, Spark logs
   * at WARN to stderr and starts no web UI.
+  *
+  *   spark-submit --class repro.jobs.Main repro.jar digest [sf] [seed]
+  *
+  * prints the SHA-256 digest of the IMDB-lite data at (sf, seed), seed 42 by
+  * default ([[LocalDB.digest]]), without starting Spark: two machines with
+  * equal digests generate equal data.
   */
 object Main {
-  def main(args: Array[String]): Unit = {
+  def main(args: Array[String]): Unit =
+    if (args.headOption.contains("digest")) {
+      val sf   = args.lift(1).fold(Experiments.SF)(_.toDouble)
+      val seed = args.lift(2).fold(42L)(_.toLong)
+      val db   = ImdbLite.generate(ImdbLite.Config(sf, seed))
+      println(s"database sf=$sf data-seed=$seed digest=${LocalDB.digest(db)}")
+    } else paperTable(args)
+
+  private def paperTable(args: Array[String]): Unit = {
     quietLogging()
     val spark = SparkSession.builder
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
@@ -37,7 +53,7 @@ object Main {
       case "fig2" => Report.fig2(res)
       case "fig7" => Report.fig7(res)
       case "fig8" => Report.fig8(res)
-      case other  => sys.error(s"unknown table '$other': expected I, II, III, IV/V, VI, fig1, fig2, fig7 or fig8")
+      case other  => sys.error(s"unknown table '$other': expected I, II, III, IV/V, VI, fig1, fig2, fig7, fig8 or digest")
     }
     table.print()
   }

@@ -9,9 +9,11 @@ import repro.core.opt.CostModel
 import repro.core.stats.{Analyzer, Catalog}
 import repro.imdb.ImdbLite
 
-/** Shared experiment context: one generated database + collected snapshot +
-  * ANALYZE catalog per (sf, seed), cached for the lifetime of the JVM so unit
-  * tests and benches do not regenerate data per suite.
+/** Shared experiment context per (sf, seed): the generated driver-side
+  * snapshot (`local`), its lazy Spark view (`db`, whose DataFrames are built
+  * only when a Spark-side run first uses them) and its ANALYZE catalog. Cached
+  * for the lifetime of the JVM so unit tests and benches do not regenerate
+  * data per suite.
   */
 final case class Workbench(
     spark: SparkSession,

@@ -1,8 +1,7 @@
 package repro.imdb
 
-import org.apache.spark.sql.functions._
-
 import repro.{SparkSpec, TestData}
+import repro.core.data.LocalDB
 
 /** Generator-level checks: schema shape, determinism, key integrity, and the
   * skew/correlation mechanisms the workload depends on.
@@ -25,6 +24,12 @@ class ImdbLiteSpec extends SparkSpec {
     test(s"$t: all columns are BIGINT") {
       assert(wb.db(t).schema.fields.forall(_.dataType.typeName == "long"))
     }
+    test(s"$t: Spark's rows equal the driver-side rows") {
+      val local = wb.local(t)
+      val rows  = wb.db(t).collect().map(r => Vector.tabulate(r.length)(r.getLong))
+      val want  = Vector.tabulate(local.rowCount)(i => local.colNames.map(local.col(_)(i)))
+      assert(rows.toVector == want)
+    }
   }
 
   for (((tab, col), dom) <- Schema.domain.toVector.sortBy(_.toString)
@@ -44,9 +49,15 @@ class ImdbLiteSpec extends SparkSpec {
   }
 
   test("generation is deterministic in (sf, seed)") {
-    val again = ImdbLite.table(spark, "cast_info", wb.cfg).collect().map(_.toSeq).toVector
-    val first = wb.db("cast_info").collect().map(_.toSeq).toVector
-    assert(again == first)
+    val first = ImdbLite.generate(wb.cfg)
+    val again = ImdbLite.generate(wb.cfg)
+    for (t <- Schema.tables; c <- Schema.columns(t))
+      assert(again(t).col(c) sameElements first(t).col(c), s"$t.$c")
+  }
+
+  test("generated data at SF 0.1, seed 42 has the pinned digest") {
+    assert(LocalDB.digest(ImdbLite.generate(ImdbLite.Config(0.1, 42L))) ==
+      "1e3939d951638bb8794e65f4be9217b6cacb214b381f1529ee5ef73a6e86b52a")
   }
 
   test("cast_info movie_id is skewed: top movie far above uniform share") {
@@ -110,7 +121,7 @@ class ImdbLiteSpec extends SparkSpec {
 
   test("unknown table name is rejected") {
     // Schema.rowCount rejects it before the generator match is reached
-    intercept[Exception] { ImdbLite.table(spark, "nope", wb.cfg) }
+    intercept[Exception] { ImdbLite.table("nope", wb.cfg) }
   }
 
   test("Schema.rowCount scales with sf for scaled tables, not for dims") {
