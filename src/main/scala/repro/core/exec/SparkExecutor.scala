@@ -65,7 +65,7 @@ final class SparkExecutor(spark: SparkSession, db: collection.Map[String, DataFr
     val proj =
       if (iface.nonEmpty)
         df.select(iface.map { case (c, (ri, rc)) =>
-          col(s"${g.rels(ri).alias}__$rc").as(s"c${c.origId}")
+          col(s"${g.rels(ri).alias}__$rc").as(JoinGraph.tempColumn(c.origId))
         }: _*)
       else df.select(df.columns.take(1).map(col).toSeq: _*)
     val t0 = System.nanoTime()

@@ -86,21 +86,36 @@ final case class JoinGraph(name: String, rels: Vector[GraphRel], classes: Vector
   def contract(sub: Long, tempTable: String): JoinGraph = {
     require(sub != 0 && (sub & ~fullMask) == 0 && connected(sub), s"bad contraction mask $sub")
     val keep    = (0 until nRels).filter(i => (sub & (1L << i)) == 0)
-    val remap   = keep.zipWithIndex.toMap // old idx -> new idx
     val tempIdx = keep.size
     val newRels = keep.toVector.map(rels) :+
       GraphRel(tempTable, tempTable, Vector.empty, origUnion(sub))
+    // relations below the lowest contracted one keep their index, so a class
+    // lying only there, and each member there, is reused
+    val low = java.lang.Long.numberOfTrailingZeros(sub)
     val newClasses = classes.flatMap { c =>
-      val outside = c.members.collect { case (i, col) if (sub & (1L << i)) == 0 => (remap(i), col) }
-      val inside  = c.members.exists(m => (sub & (1L << m._1)) != 0)
-      val members = if (inside) outside :+ ((tempIdx, s"c${c.origId}")) else outside
-      if (members.size >= 2) Some(GraphClass(c.origId, members)) else None
+      if ((c.relMask >>> low) == 0) Some(c)
+      else {
+        val outside = c.members.collect {
+          case m @ (i, col) if (sub & (1L << i)) == 0 =>
+            if (i < low) m else (i - java.lang.Long.bitCount(sub & ((1L << i) - 1)), col)
+        }
+        val members = if ((c.relMask & sub) != 0) outside :+ ((tempIdx, JoinGraph.tempColumn(c.origId))) else outside
+        if (members.size >= 2) Some(GraphClass(c.origId, members)) else None
+      }
     }
     JoinGraph(name, newRels, newClasses)
   }
 }
 
 object JoinGraph {
+  private val tempColumns = Array.tabulate(64)(id => s"c$id")
+
+  /** The column `c<origId>` of a temporary that carries class `origId`; one
+    * shared string per class below 64.
+    */
+  def tempColumn(origId: Int): String =
+    if (origId < tempColumns.length) tempColumns(origId) else s"c$origId"
+
   /** Build the graph of a workload query; origMask_i = 1 << i, origId = index. */
   def fromSpec(q: QuerySpec): JoinGraph =
     JoinGraph(

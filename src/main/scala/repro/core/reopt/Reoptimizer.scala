@@ -10,24 +10,30 @@ import repro.core.opt.{CostModel, DPPlanner, JoinGraph, Plan}
 import repro.core.stats.{Catalog, ColumnStats, TableStats}
 import repro.core.truth.TrueCardinality
 
-/** How a re-optimization step runs the plan / materializes a sub-join.
-  * Returned times are in "work milliseconds" (simulated) or wall-clock
-  * milliseconds (Spark).
+/** How a re-optimization step runs the plan / materializes a sub-join, and
+  * where the loop's trigger reads true cardinalities. Returned times are in
+  * "work milliseconds" (simulated) or wall-clock milliseconds (Spark).
   */
 trait ExecBackend {
   /** Execute the final plan; returns execution time in ms. */
   def run(g: JoinGraph, plan: Plan): Double
   /** Materialize `plan`'s sub-join as `tempName`; returns (ms, exact stats). */
   def materialize(g: JoinGraph, plan: Plan, tempName: String): (Double, TableStats)
+  /** The true cardinality of a sub-join, by original-relation mask, that the
+    * trigger of one loop run on `truth`'s query reads. By default a fresh
+    * oracle scope for the run.
+    */
+  def trueCards(truth: TrueCardinality): Long => Long = truth.newScope().card
 }
 
 /** Deterministic backend: prices execution with true cardinalities via
   * [[SimExecutor]]; temp statistics come exactly from the oracle. One oracle
-  * scope serves the backend's lifetime (one loop run), so every pricing and
-  * temp-statistics call shares the relation row indexes it builds.
+  * scope serves the backend's lifetime (one loop run): every pricing,
+  * temp-statistics and trigger lookup shares the relation row indexes it
+  * builds.
   */
 final class SimBackend(sim: SimExecutor, truth: TrueCardinality) extends ExecBackend {
-  private val scope = truth.newScope()
+  private[reopt] val scope: TrueCardinality#Scope = truth.newScope()
 
   override def run(g: JoinGraph, plan: Plan): Double =
     SimExecutor.toMillis(sim.executionWork(g, scope, plan))
@@ -36,17 +42,25 @@ final class SimBackend(sim: SimExecutor, truth: TrueCardinality) extends ExecBac
     val ms = SimExecutor.toMillis(sim.materializationWork(g, scope, plan))
     (ms, Reoptimizer.tempStats(g, scope, plan.mask))
   }
+
+  override def trueCards(t: TrueCardinality): Long => Long = {
+    require(t eq truth, "the loop's oracle is not the backend's")
+    scope.card
+  }
 }
 
 /** Real backend: executes on Spark, materializing temporaries with
   * persist+count (the Spark phrasing of the paper's CREATE TEMP TABLE).
-  * Registered temporaries become joinable base tables for later steps.
+  * Registered temporaries become joinable base tables for later steps. Its
+  * temp statistics and trigger lookups share one oracle scope for the
+  * backend's lifetime (one loop run).
   */
 final class SparkBackend(
     spark: SparkSession,
     baseDb: Map[String, DataFrame],
     truth: TrueCardinality,
 ) extends ExecBackend {
+  private val scope = truth.newScope()
   private val db = mutable.Map[String, DataFrame](baseDb.toSeq: _*)
   private val cached = mutable.ArrayBuffer.empty[DataFrame]
 
@@ -65,7 +79,12 @@ final class SparkBackend(
     val (df, _, ms) = executor.materialize(g, plan)
     db(tempName) = df
     cached += df
-    (ms, Reoptimizer.tempStats(g, truth, plan.mask))
+    (ms, Reoptimizer.tempStats(g, scope, plan.mask))
+  }
+
+  override def trueCards(t: TrueCardinality): Long => Long = {
+    require(t eq truth, "the loop's oracle is not the backend's")
+    scope.card
   }
 
   /** Unpersist all temporaries created during a query's re-optimization. */
@@ -121,8 +140,8 @@ final class Reoptimizer(cost: CostModel, baseCatalog: Catalog) {
     var planNs  = 0L
     val steps   = Vector.newBuilder[Step]
     var nSteps  = 0
-    // the trigger's true cardinalities, through one scope for the whole loop
-    val trueRows = truth.newScope()
+    // the trigger's true cardinalities, from one source for the whole loop
+    val trueRows = backend.trueCards(truth)
 
     while (true) {
       val planner = new DPPlanner(cost, catalog)
@@ -133,7 +152,7 @@ final class Reoptimizer(cost: CostModel, baseCatalog: Catalog) {
       val offender =
         if (nSteps >= maxSteps) None
         else res.plan.joinsBottomUp.find { j =>
-          val t = trueRows.card(g.origUnion(j.mask)).toDouble
+          val t = trueRows(g.origUnion(j.mask)).toDouble
           QError(t, j.estRows) > threshold && j.mask != g.fullMask
         }
 
@@ -142,11 +161,13 @@ final class Reoptimizer(cost: CostModel, baseCatalog: Catalog) {
           execMs += backend.run(g, res.plan)
           return Result(execMs, planNs / 1e6, steps.result(), res.plan, g)
         case Some(j) =>
-          val tempName   = s"${g0.name}_tmp$nSteps"
+          // interned: every run of a query names its temporaries alike, and
+          // callers that keep results keep these names
+          val tempName   = s"${g0.name}_tmp$nSteps".intern()
           val (ms, ts)   = backend.materialize(g, subPlan(res.plan, j.mask), tempName)
           execMs += ms
           catalog = catalog.withTable(tempName, ts)
-          steps += Step(g0.name, tempName, g.origUnion(j.mask), ts.rowCount, QError(trueRows.card(g.origUnion(j.mask)).toDouble, j.estRows))
+          steps += Step(g0.name, tempName, g.origUnion(j.mask), ts.rowCount, QError(trueRows(g.origUnion(j.mask)).toDouble, j.estRows))
           g = g.contract(j.mask, tempName)
           nSteps += 1
       }
@@ -180,7 +201,7 @@ object Reoptimizer {
     // Interface classes in *original graph* terms: use origIds valid on g.
     val cols = g.interfaceClasses(mask).map { case (c, _) =>
       val ndv = scope.classNdv(orig, c.origId)
-      s"c${c.origId}" -> ColumnStats(rows, math.max(1L, ndv), 0L, Long.MaxValue, Vector.empty, Vector.empty)
+      JoinGraph.tempColumn(c.origId) -> ColumnStats(rows, math.max(1L, ndv), 0L, Long.MaxValue, Vector.empty, Vector.empty)
     }.toMap
     TableStats(rows, cols)
   }

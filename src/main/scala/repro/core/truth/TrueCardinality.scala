@@ -31,14 +31,22 @@ import repro.core.opt.JoinGraph
   * (relation, join classes) serves every subset and every set of classes r
   * adds, so indexes are built once per [[Scope]]: a scope lasts one planning
   * or loop run and is dropped with it. Its owners are the perfect
-  * estimators (one DP run each), a [[repro.core.reopt.SimBackend]] (its
-  * pricing and temp statistics for one loop run) and the loop's trigger
-  * lookups. The oracle itself keeps only the `card`/`classNdv` count memos:
+  * estimators (one DP run each) and the loop's backend: a
+  * [[repro.core.reopt.SimBackend]] or [[repro.core.reopt.SparkBackend]]
+  * serves its pricing, its temp statistics and the loop's trigger lookups
+  * (`ExecBackend.trueCards`) from one scope per loop run. The oracle itself
+  * keeps only the `card`/`classNdv` count memos:
   * callers keep oracles alive for a whole query, and the per-relation
   * structures of a 17-relation query are far larger than its memo (held by
   * the oracle, the grouped rows that preceded the indexes took perfbench's
   * live-heap peak from 63 to 119 MB on `perfect-oracle` and from 71 to
   * 238 MB on `reopt`).
+  *
+  * `classNdv(S, c)` (a temp table's ANALYZE) eliminates along the same
+  * chain and keeps c's value in the frontier once touched, except that when
+  * c has a single member relation r in S and S∖{r} is connected, S∖{r} is
+  * eliminated first and r absorbed last: c then enters the frontier only at
+  * the final probe. The distinct count is exact either way.
   *
   * Instances are keyed to the *original* [[JoinGraph]] of a query; contracted
   * (re-optimized) graphs query it through original-relation masks.
@@ -203,14 +211,29 @@ final class TrueCardinality(val graph: JoinGraph, db: LocalDB) {
     new RowIndex(keys, start, rows)
   }
 
-  /** Eliminate `mask` along the greedy chain. If `keepClass >= 0` (a class
-    * index into graph.classes), that class's value is retained in the
-    * frontier throughout. Returns the row count of each final frontier tuple:
-    * one count (or none) when keepClass < 0, else one per kept value.
+  /** Elimination order for the distinct values of class ci in ⋈ `mask`. If
+    * ci has a single member relation r in `mask` and the rest of `mask` is
+    * connected, the rest's chain comes first and r last, so ci enters the
+    * frontier only at the final probe. Otherwise it is the `card` chain, and
+    * ci stays in the frontier from the first relation touching it. An exact
+    * distinct count does not depend on the order.
     */
-  private def eliminate(mask: Long, keepClass: Int, scope: Scope): Array[Long] = {
+  private[truth] def ndvOrder(mask: Long, ci: Int): Array[Int] = {
+    val members = graph.classes(ci).relMask & mask
+    val rest    = mask & ~members
+    if (java.lang.Long.bitCount(members) == 1 && graph.connected(rest))
+      chainOrder(rest) :+ java.lang.Long.numberOfTrailingZeros(members)
+    else chainOrder(mask)
+  }
+
+  /** Eliminate `mask` along `order`, a chain of its relations in which each
+    * relation joins an earlier one. If `keepClass >= 0` (a class index into
+    * graph.classes), that class's value is retained in the frontier once
+    * touched. Returns the row count of each final frontier tuple: one count
+    * (or none) when keepClass < 0, else one per kept value.
+    */
+  private def eliminate(order: Array[Int], mask: Long, keepClass: Int, scope: Scope): Array[Long] = {
     require(mask != 0, "empty mask")
-    val order = chainOrder(mask)
     var prefix = 1L << order(0)
     var key    = frontier(mask, prefix, keepClass)
     val first  = project(order(0), key)
@@ -288,7 +311,8 @@ final class TrueCardinality(val graph: JoinGraph, db: LocalDB) {
   /** The oracle's queries within one planning or loop run, sharing the
     * relation row indexes they build. Counts are memoized in the oracle, so
     * they outlive the scope; the indexes do not. The scope's owner (a perfect
-    * estimator, a `SimBackend`, a loop's trigger) drops it with its run.
+    * estimator, or a loop's backend for its pricing, temp statistics and
+    * trigger) drops it with its run.
     */
   final class Scope private[TrueCardinality] () {
     private val indexes = Array.fill(graph.nRels)(mutable.LongMap.empty[RowIndex])
@@ -309,7 +333,7 @@ final class TrueCardinality(val graph: JoinGraph, db: LocalDB) {
     def card(mask: Long): Long = cardCache.getOrElseUpdate(mask, {
       require(graph.connected(mask), s"not a connected subset: $mask")
       if (java.lang.Long.bitCount(mask) == 1) nRows(java.lang.Long.numberOfTrailingZeros(mask)).toLong
-      else eliminate(mask, keepClass = -1, this).sum
+      else eliminate(chainOrder(mask), mask, keepClass = -1, this).sum
     })
 
     /** Exact number of distinct values of class `origId` (which must touch S)
@@ -321,7 +345,7 @@ final class TrueCardinality(val graph: JoinGraph, db: LocalDB) {
       require(ci >= 0 && (graph.classes(ci).relMask & mask) != 0,
         s"class $origId does not touch mask $mask")
       // final key is exactly (keepClass); count distinct values with rows
-      eliminate(mask, keepClass = ci, this).count(_ > 0).toLong
+      eliminate(ndvOrder(mask, ci), mask, keepClass = ci, this).count(_ > 0).toLong
     })
   }
 

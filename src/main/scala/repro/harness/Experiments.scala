@@ -12,7 +12,7 @@ import repro.workload.{JobLite, QuerySpec}
   * the graph, a single true-cardinality oracle, and the executors.
   */
 final class QueryCtx(val wb: Workbench, val q: QuerySpec) {
-  val graph: JoinGraph        = JoinGraph.fromSpec(q)
+  val graph: JoinGraph        = q.graph
   val truth: TrueCardinality  = new TrueCardinality(graph, wb.local)
   val sim: SimExecutor        = new SimExecutor(wb.cost, wb.catalog)
   val planner: DPPlanner      = new DPPlanner(wb.cost, wb.catalog)

@@ -1,5 +1,7 @@
 package repro.workload
 
+import repro.core.opt.JoinGraph
+
 /** A single-column predicate of a JOB-lite query. All schema columns are
   * BIGINT, so literals are Longs.
   */
@@ -59,6 +61,9 @@ final case class QuerySpec(
     filters: Map[Int, Vector[Pred]],
 ) {
   def size: Int = relations.size
+
+  /** The planner's join graph of this query, built once per spec. */
+  lazy val graph: JoinGraph = JoinGraph.fromSpec(this)
 
   def preds(relIdx: Int): Vector[Pred] = filters.getOrElse(relIdx, Vector.empty)
 

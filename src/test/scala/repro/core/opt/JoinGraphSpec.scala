@@ -80,6 +80,27 @@ class JoinGraphSpec extends AnyFunSuite {
     assert(g2.rels(1).preds.isEmpty)
   }
 
+  test("contract shifts members above the contraction and reuses those below it") {
+    // a - b - c - d, with x joining a and b, y joining b and d, z joining c and d
+    val g = JoinGraph(
+      "path",
+      Vector("a", "b", "c", "d").zipWithIndex.map { case (t, i) => GraphRel(t, t, Vector.empty, 1L << i) },
+      Vector(
+        GraphClass(0, Vector((0, "x"), (1, "x"))),
+        GraphClass(1, Vector((1, "y"), (3, "y"))),
+        GraphClass(2, Vector((2, "z"), (3, "z"))),
+      ),
+    )
+    val g2 = g.contract(4L, "tmp0") // c: d moves from 3 to 2, the temp is 3
+    assert(g2.classes(0) eq g.classes(0))
+    assert(g2.classes(1).members == Vector((1, "y"), (2, "y")))
+    assert(g2.classes(1).members(0) eq g.classes(1).members(0))
+    assert(g2.classes(2).members == Vector((2, "z"), (3, "c2")))
+    assert(g2 == JoinGraph("path", Vector(g.rels(0), g.rels(1), g.rels(3), GraphRel("tmp0", "tmp0", Vector.empty, 4L)),
+      Vector(g.classes(0), GraphClass(1, Vector((1, "y"), (2, "y"))), GraphClass(2, Vector((2, "z"), (3, "c2"))))))
+    assert(g.contract(12L, "tmp1").classes(1).members(1)._2 eq JoinGraph.tempColumn(1))
+  }
+
   test("contract rejects disconnected masks") {
     intercept[IllegalArgumentException](chain.contract(5L, "bad"))
   }

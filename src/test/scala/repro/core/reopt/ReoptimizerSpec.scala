@@ -5,7 +5,7 @@ import repro.core.ce.{PerfectEstimator, StatsEstimator}
 import repro.core.exec.SimExecutor
 import repro.core.opt.{DPPlanner, JoinGraph, Plan}
 import repro.core.stats.TableStats
-import repro.core.truth.TrueCardinality
+import repro.core.truth.{ReferenceCardinality, TrueCardinality}
 import repro.workload.JobLite
 
 /** The re-optimization loop: trigger semantics, graph contraction, exactness
@@ -116,12 +116,13 @@ class ReoptimizerSpec extends SparkSpec {
 
   test("tau=32 on all 113 queries: one SimBackend scope equals a fresh scope per call") {
     val sim = new SimExecutor(wb.cost, wb.catalog)
-    /** Opens a fresh oracle scope on every call. */
+    /** Opens a fresh oracle scope on every call, the trigger's included. */
     final class FreshScopeBackend(truth: TrueCardinality) extends ExecBackend {
       override def run(g: JoinGraph, plan: Plan): Double =
         SimExecutor.toMillis(sim.executionWork(g, truth, plan))
       override def materialize(g: JoinGraph, plan: Plan, tempName: String): (Double, TableStats) =
         (SimExecutor.toMillis(sim.materializationWork(g, truth, plan)), Reoptimizer.tempStats(g, truth, plan.mask))
+      override def trueCards(t: TrueCardinality): Long => Long = t.card
     }
     val ro = new Reoptimizer(wb.cost, wb.catalog)
     for (q <- JobLite.all) {
@@ -137,6 +138,59 @@ class ReoptimizerSpec extends SparkSpec {
       assert(one.finalPlan == fresh.finalPlan, q.name)
       assert(one.finalGraph == fresh.finalGraph, q.name)
     }
+  }
+
+  /** Delegates to a backend, but keeps [[ExecBackend]]'s default trigger
+    * source; records each materialization's graph, mask and stats.
+    */
+  private final class Recording(inner: ExecBackend) extends ExecBackend {
+    val temps = Vector.newBuilder[(JoinGraph, Long, TableStats)]
+    override def run(g: JoinGraph, plan: Plan): Double = inner.run(g, plan)
+    override def materialize(g: JoinGraph, plan: Plan, tempName: String): (Double, TableStats) = {
+      val (ms, ts) = inner.materialize(g, plan, tempName)
+      temps += ((g, plan.mask, ts))
+      (ms, ts)
+    }
+  }
+
+  test("a SimBackend run's trigger reads through the backend's own scope") {
+    val (_, g, _) = ctx("q06a")
+    val sim = new SimExecutor(wb.cost, wb.catalog)
+    // with τ above every Q-error the trigger looks up every join of the plan
+    // first, so pricing the plan afterwards builds no index of its own
+    def loop(wrap: SimBackend => ExecBackend): SimBackend = {
+      val t = new TrueCardinality(g, wb.local)
+      val b = new SimBackend(sim, t)
+      val r = new Reoptimizer(wb.cost, wb.catalog)
+        .run(g, t, cat => new StatsEstimator(cat), wrap(b), threshold = 1e18)
+      assert(r.replans == 0)
+      b
+    }
+    assert(loop(b => b).scope.entries > 0)
+    assert(loop(new Recording(_)).scope.entries == 0)
+  }
+
+  test("tau=32 on all 113 queries: every step's temp stats equal the reference oracle's") {
+    val sim = new SimExecutor(wb.cost, wb.catalog)
+    val ro  = new Reoptimizer(wb.cost, wb.catalog)
+    var checked = 0
+    for (q <- JobLite.all) {
+      val g   = JoinGraph.fromSpec(q)
+      val t   = new TrueCardinality(g, wb.local)
+      val ref = new ReferenceCardinality(g, wb.local)
+      val rec = new Recording(new SimBackend(sim, t))
+      ro.run(g, t, cat => new StatsEstimator(cat), rec, threshold = 32.0)
+      for ((gs, mask, ts) <- rec.temps.result()) {
+        val orig = gs.origUnion(mask)
+        assert(ts.rowCount == ref.card(orig), s"${q.name}: rows of $orig")
+        val iface = gs.interfaceClasses(mask).map(_._1.origId)
+        assert(ts.columns.keySet == iface.map(id => s"c$id").toSet, s"${q.name}: columns of $orig")
+        for (id <- iface)
+          assert(ts.columns(s"c$id").ndv == math.max(1L, ref.classNdv(orig, id)), s"${q.name}: ndv c$id of $orig")
+        checked += 1
+      }
+    }
+    assert(checked > 0)
   }
 
   test("temp stats are exact (rows and interface ndv)") {

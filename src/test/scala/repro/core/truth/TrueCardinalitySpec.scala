@@ -239,6 +239,65 @@ class TrueCardinalityToySpec extends AnyFunSuite {
     assertBrute(g, db2)
   }
 
+  // toy path with a branch: r0(a) - r1(a, b, d) - r2(b, c) - r3(c), and
+  // r4(d) hangs off r1; every join column repeats values, and r2 has the
+  // fewest rows, so `card` chains start there
+  private val db3 = LocalDB(Map(
+    "r0" -> LocalTable("r0", Vector("a"), Map("a" -> Array[Long](1, 1, 2, 3))),
+    "r1" -> LocalTable("r1", Vector("a", "b", "d"),
+      Map("a" -> Array[Long](1, 2, 2, 3, 4),
+          "b" -> Array[Long](1, 1, 2, 2, 3),
+          "d" -> Array[Long](7, 7, 8, 9, 9))),
+    "r2" -> LocalTable("r2", Vector("b", "c"),
+      Map("b" -> Array[Long](1, 1, 2), "c" -> Array[Long](5, 6, 6))),
+    "r3" -> LocalTable("r3", Vector("c"), Map("c" -> Array[Long](5, 5, 6))),
+    "r4" -> LocalTable("r4", Vector("d"), Map("d" -> Array[Long](7, 8))),
+  ))
+
+  private val path = JoinGraph(
+    "path",
+    Vector.tabulate(5)(i => GraphRel(s"r$i", s"r$i", Vector.empty, 1L << i)),
+    Vector(
+      GraphClass(0, Vector((0, "a"), (1, "a"))),
+      GraphClass(1, Vector((1, "b"), (2, "b"))),
+      GraphClass(2, Vector((2, "c"), (3, "c"))),
+      GraphClass(3, Vector((1, "d"), (4, "d"))),
+    ),
+  )
+
+  /** Distinct values of class ci in the brute-force join of `mask`. */
+  private def bruteNdv(g: JoinGraph, d: LocalDB, mask: Long, ci: Int): Int = {
+    val j = java.lang.Long.numberOfTrailingZeros(g.classes(ci).relMask & mask)
+    bruteJoin(g, d, mask).map(x => classValue(g, d, ci, j, x(j))).distinct.size
+  }
+
+  test("classNdv of a single-member class on a leaf eliminates that relation last") {
+    val t = new TrueCardinality(path, db3)
+    // class 2 has one member in {r0, r1, r2}: r2, a leaf of it
+    assert(t.ndvOrder(7L, 2).toSeq == t.chainOrder(3L).toSeq :+ 2)
+    assert(t.ndvOrder(7L, 2).toSeq != t.chainOrder(7L).toSeq)
+    assert(t.classNdv(7L, 2) == bruteNdv(path, db3, 7L, 2))
+    // class 3 has one member in {r1, r2, r3}: r1, a leaf of it
+    assert(t.ndvOrder(14L, 3).last == 1)
+    assert(t.classNdv(14L, 3) == bruteNdv(path, db3, 14L, 3))
+  }
+
+  test("classNdv of a single-member class on an articulation relation keeps the card chain") {
+    val t = new TrueCardinality(path, db3)
+    // class 3 has one member in {r0, r1, r2}: r1, whose removal splits it
+    assert(t.ndvOrder(7L, 3).toSeq == t.chainOrder(7L).toSeq)
+    assert(t.classNdv(7L, 3) == bruteNdv(path, db3, 7L, 3))
+  }
+
+  test("classNdv of a multi-member class keeps the card chain") {
+    val t = new TrueCardinality(path, db3)
+    for (ci <- Seq(0, 1)) {
+      assert(t.ndvOrder(7L, ci).toSeq == t.chainOrder(7L).toSeq)
+      assert(t.classNdv(7L, ci) == bruteNdv(path, db3, 7L, ci), s"class $ci")
+    }
+    assertBrute(path, db3)
+  }
+
   test("TupleMap grows past its initial capacity and keeps insertion order") {
     val m   = new TupleMap(2, 1)
     val key = new Array[Long](2)
