@@ -1,7 +1,5 @@
 package repro.core.opt
 
-import scala.collection.mutable
-
 import repro.core.ce.Estimator
 import repro.core.stats.Catalog
 
@@ -19,52 +17,61 @@ import repro.core.stats.Catalog
   * `left.cost + right.cost + joinCost`. **Tie-break:** among splits of equal
   * cost, the one whose right mask is numerically largest wins.
   *
+  * The DP table is one `Array[Plan]` of `1 << nRels` entries, indexed by
+  * subset mask; a connected subset's entry is its best plan, every other
+  * entry is null. So a graph has at most [[DPPlanner.MaxRels]] relations
+  * (2^20 entries take 4 MB; JOB-lite's largest query has 17).
+  *
   * The planner records one cardinality estimate per connected subset (the
   * first time a pair produces it, exactly like PostgreSQL computes one
   * joinrel size per relation set); `estimatesBySize` is therefore the
-  * per-query contribution to the paper's Table I.
+  * per-query contribution to the paper's Table I. It is counted in one scan
+  * of the table; the per-subset `estimates` map is built only when read.
   */
 final class DPPlanner(cost: CostModel, catalog: Catalog) {
 
   /** Planning outcome. `planningNanos` is wall-clock spent in this call —
-    * the paper's "planning time" component.
+    * the paper's "planning time" component. It holds the call's DP table,
+    * from which `estimates` is built on first read: keep the `plan`, not
+    * the `Result`.
     */
-  final case class Result(
-      plan: Plan,
-      estimates: Map[Long, Double],
-      estimatesBySize: Map[Int, Int],
-      planningNanos: Long,
+  final class Result private[DPPlanner] (
+      val plan: Plan,
+      val estimatesBySize: Map[Int, Int],
+      val planningNanos: Long,
+      table: Array[Plan],
   ) {
-    def estRows(mask: Long): Double = estimates(mask)
+    /** The estimate of every connected subset, by mask; built on first read. */
+    lazy val estimates: Map[Long, Double] = {
+      val b = Map.newBuilder[Long, Double]
+      for (m <- table.indices if table(m) != null) b += m.toLong -> table(m).estRows
+      b.result()
+    }
   }
 
   def plan(g: JoinGraph, est: Estimator): Result = {
     val t0 = System.nanoTime()
     require(g.nRels >= 1, "empty graph")
+    require(g.nRels <= DPPlanner.MaxRels,
+      s"query ${g.name}: ${g.nRels} relations; the planner takes at most ${DPPlanner.MaxRels}")
 
     val best = new Ccp(g, est).run()
-    val top = best.getOrElse(
-      g.fullMask,
-      throw new IllegalStateException(s"query ${g.name}: join graph not connected"),
-    )
-    val estimates = Map.newBuilder[Long, Double]
-    val bySize    = new Array[Int](g.nRels + 1)
-    best.foreachEntry { (m, p) =>
-      estimates += m -> p.estRows
-      bySize(java.lang.Long.bitCount(m)) += 1
-    }
-    Result(top, estimates.result(), bySize.indices.filter(bySize(_) > 0).map(k => k -> bySize(k)).toMap,
-      System.nanoTime() - t0)
+    val top  = best(g.fullMask.toInt)
+    if (top == null) throw new IllegalStateException(s"query ${g.name}: join graph not connected")
+    val bySize = new Array[Int](g.nRels + 1)
+    for (m <- best.indices if best(m) != null) bySize(Integer.bitCount(m)) += 1
+    new Result(top, bySize.indices.filter(bySize(_) > 0).map(k => k -> bySize(k)).toMap,
+      System.nanoTime() - t0, best)
   }
 
   /** One planning call's DP table: the best plan of every connected subset. */
   private final class Ccp(g: JoinGraph, est: Estimator) {
-    private val best = mutable.LongMap.empty[Plan]
+    private val best = new Array[Plan](1 << g.nRels)
 
-    def run(): mutable.LongMap[Plan] = {
+    def run(): Array[Plan] = {
       for (i <- 0 until g.nRels) {
         val m = 1L << i
-        best(m) = LeafPlan(i, m, est.cardinality(g, m), cost.scanCost(catalog(g.rels(i).table).rowCount))
+        best(m.toInt) = LeafPlan(i, m, est.cardinality(g, m), cost.scanCost(catalog(g.rels(i).table).rowCount))
       }
       // csgs whose lowest relation is i, for i descending
       var i = g.nRels - 1
@@ -117,16 +124,23 @@ final class DPPlanner(cost: CostModel, catalog: Catalog) {
       */
     private def join(l: Long, r: Long): Unit = {
       val s    = l | r
-      val lp   = best(l)
-      val rp   = best(r)
-      val cur  = best.getOrNull(s).asInstanceOf[JoinPlan]
+      val lp   = best(l.toInt)
+      val rp   = best(r.toInt)
+      val cur  = best(s.toInt).asInstanceOf[JoinPlan]
       val rows = if (cur == null) est.cardinality(g, s) else cur.estRows
       val (phys, buildLeft) = cost.choosePhysical(lp.estRows, rp.estRows)
       val build = if (buildLeft) lp.estRows else rp.estRows
       val probe = if (buildLeft) rp.estRows else lp.estRows
       val c     = lp.cost + rp.cost + cost.joinCost(phys, build, probe, rows)
       if (cur == null || c < cur.cost || (c == cur.cost && r > cur.right.mask))
-        best(s) = JoinPlan(lp, rp, s, rows, c, phys, buildLeft)
+        best(s.toInt) = JoinPlan(lp, rp, s, rows, c, phys, buildLeft)
     }
   }
+}
+
+object DPPlanner {
+  /** The most relations a graph may have: the DP table has `1 << nRels`
+    * entries.
+    */
+  val MaxRels = 20
 }

@@ -122,15 +122,23 @@ class DPPlannerToySpec extends AnyFunSuite {
     assert(s.contains("d1") && s.contains("f") && s.contains("⋈"))
   }
 
+  private def chain(n: Int) = JoinGraph(
+    s"chain$n",
+    (0 until n).toVector.map(i => GraphRel(s"r$i", ('a' + i % 5).toChar.toString, Vector.empty, 1L << i)),
+    (0 until n - 1).map(i => GraphClass(i, Vector((i, "x"), (i + 1, "y")))).toVector,
+  )
+
   test("chain of 5: estimate count equals number of connected intervals") {
-    val g = JoinGraph(
-      "chain5",
-      Vector(rel("a", 0), rel("b", 1), rel("c", 2), rel("d", 3), rel("e", 4)),
-      (0 until 4).map(i => GraphClass(i, Vector((i, "x"), (i + 1, "y")))).toVector,
-    )
-    val res = planner.plan(g, new FixedEst(Map.empty))
+    val res = planner.plan(chain(5), new FixedEst(Map.empty))
     // connected subsets of a path = intervals: 5+4+3+2+1 = 15
     assert(res.estimatesBySize.values.sum == 15)
+  }
+
+  test("at most 20 relations: a 21-relation graph is rejected with its name and size") {
+    val res = planner.plan(chain(20), new FixedEst(Map.empty))
+    assert(res.plan.mask == (1L << 20) - 1 && res.estimatesBySize.values.sum == 20 * 21 / 2)
+    val e = intercept[IllegalArgumentException](planner.plan(chain(21), new FixedEst(Map.empty)))
+    assert(e.getMessage.contains("chain21") && e.getMessage.contains("21 relations"), e.getMessage)
   }
 
   test("joinsBottomUp is ordered by subtree size") {
@@ -180,7 +188,8 @@ class DPPlannerToySpec extends AnyFunSuite {
       val res = planner.plan(g, counting)
       val connected = (1L to g.fullMask).filter(g.connected)
       (res.plan.cost == bruteBest(g, new FixedEst(cards))) :| s"cost on $g" &&
-      (calls.toMap == connected.map(_ -> 1).toMap) :| s"estimator calls on $g"
+      (calls.toMap == connected.map(_ -> 1).toMap) :| s"estimator calls on $g" &&
+      (res.estimates.keySet == connected.toSet) :| s"estimated subsets on $g"
     }
     val res = Test.check(Test.Parameters.default.withMinSuccessfulTests(300), prop)
     assert(res.passed, res.status.toString)
